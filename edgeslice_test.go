@@ -3,6 +3,7 @@ package edgeslice_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -75,30 +76,45 @@ func TestFacadeEnvAndTrace(t *testing.T) {
 	}
 }
 
+// TestFacadeDistributed drives Algorithm 1 through the public distributed
+// API — a hub, one agent over TCP, and the remote engine — and requires the
+// History a local run with the same policy records.
 func TestFacadeDistributed(t *testing.T) {
-	hub, err := edgeslice.NewHub("127.0.0.1:0", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = hub.Shutdown() }()
+	const periods = 2
+	cfg := edgeslice.DefaultConfig()
+	cfg.NumRAs = 1
 
-	coord, err := edgeslice.NewCoordinator(2, 1, 1.0, []float64{-50, -50})
+	local, err := edgeslice.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := local.SetAgents([]edgeslice.Agent{stubAgent{dim: local.Env(0).ActionDim()}}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.RunPeriods(periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hub, err := edgeslice.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, cfg.NumRAs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := edgeslice.NewRemoteExecutor(hub, 5*time.Second)
+	defer func() { _ = exec.Close() }()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		envCfg := edgeslice.DefaultEnvConfig()
+		envCfg := cfg.EnvTemplate
 		envCfg.TrainCoordRandom = false
+		envCfg.Seed = cfg.Seed // RA 0's seed under NewSystem's derivation
 		env, err := edgeslice.NewEnv(envCfg)
 		if err != nil {
 			t.Errorf("env: %v", err)
 			return
 		}
-		env.Reset()
 		client, err := edgeslice.DialAgent(hub.Addr(), 0, 5*time.Second)
 		if err != nil {
 			t.Errorf("dial: %v", err)
@@ -114,14 +130,22 @@ func TestFacadeDistributed(t *testing.T) {
 	if err := hub.WaitRegistered(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	history, err := edgeslice.RunCoordinator(hub, coord, 2, 5*time.Second)
+	sys, err := edgeslice.NewSystem(cfg) // shape and coordinator only
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(history) != 2 {
-		t.Errorf("history periods = %d", len(history))
+	got, err := sys.RunPeriodsWith(exec, periods)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := hub.Shutdown(); err != nil {
+	if got.Periods() != periods || len(got.SLAMet) != periods || len(got.Primal) != periods {
+		t.Errorf("history holds %d periods (%d SLA rows, %d residuals), want %d",
+			got.Periods(), len(got.SLAMet), len(got.Primal), periods)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("distributed history differs from the local run")
+	}
+	if err := exec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

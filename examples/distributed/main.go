@@ -3,7 +3,9 @@
 // speaking the RC protocol over real TCP (Sec. V-D). In production the
 // agents would run on different machines next to their RAs; here they run
 // in goroutines so the example is self-contained — the wire traffic is
-// identical.
+// identical. The coordinator drives the remote execution engine, so the
+// run records the full History of a local run: per-period performance,
+// SLA flags, and primal/dual residuals.
 package main
 
 import (
@@ -26,11 +28,7 @@ func main() {
 }
 
 func run() error {
-	const (
-		numSlices = 2
-		numRAs    = 2
-		periods   = 6
-	)
+	const periods = 6
 
 	// Train one shared policy first (in production: edgeslice-train once,
 	// ship the checkpoint to every agent host — the train-once /
@@ -47,20 +45,29 @@ func run() error {
 		return err
 	}
 
-	hub, err := edgeslice.NewHub("127.0.0.1:0", numSlices, numRAs)
+	// The coordinator's System supplies the run's shape, the ADMM
+	// coordinator, and the History; the environments of record live in
+	// the agents.
+	cfg := edgeslice.DefaultConfig()
+	sys, err := edgeslice.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = hub.Shutdown() }()
+	hub, err := edgeslice.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, cfg.NumRAs)
+	if err != nil {
+		return err
+	}
+	exec := edgeslice.NewRemoteExecutor(hub, timeout)
+	defer func() { _ = exec.Close() }()
 	fmt.Printf("coordinator hub listening on %s\n", hub.Addr())
 
 	var wg sync.WaitGroup
-	errs := make(chan error, numRAs)
-	for ra := 0; ra < numRAs; ra++ {
+	errs := make(chan error, cfg.NumRAs)
+	for ra := 0; ra < cfg.NumRAs; ra++ {
 		wg.Add(1)
 		go func(ra int) {
 			defer wg.Done()
-			if err := agentProcess(hub.Addr(), ra, trainSys); err != nil {
+			if err := agentProcess(hub.Addr(), ra, cfg, trainSys); err != nil {
 				errs <- fmt.Errorf("RA %d: %w", ra, err)
 			}
 		}(ra)
@@ -71,25 +78,32 @@ func run() error {
 	}
 	fmt.Println("all agents registered; running Algorithm 1...")
 
-	umin := []float64{-50, -50}
-	coord, err := edgeslice.NewCoordinator(numSlices, numRAs, 1.0, umin)
+	h, err := sys.RunPeriodsWith(exec, periods)
 	if err != nil {
 		return err
 	}
-	history, err := edgeslice.RunCoordinator(hub, coord, periods, timeout)
-	if err != nil {
-		return err
-	}
-	for p, perf := range history {
-		var total float64
+	fmt.Println("period | per-slice performance (sum over RAs) | SLA met | residuals")
+	for p := 0; p < h.Periods(); p++ {
+		perf := make([]float64, h.NumSlices)
 		for i := range perf {
-			for j := range perf[i] {
-				total += perf[i][j]
+			for j := 0; j < h.NumRAs; j++ {
+				perf[i] += h.PeriodPerf[p][i][j]
 			}
 		}
-		fmt.Printf("period %d: total performance %.1f\n", p, total)
+		fmt.Printf("%6d | %.1f | %v | primal=%.2f dual=%.2f\n",
+			p, perf, h.SLAMet[p], h.Primal[p], h.Dual[p])
 	}
-	if err := hub.Shutdown(); err != nil {
+	mp, err := h.MeanSystemPerf(h.Intervals() / 2)
+	if err != nil {
+		return err
+	}
+	sla, err := h.SLASatisfactionRate(0)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("steady-state system performance: %.2f per interval\n", mp)
+	fmt.Printf("SLA satisfaction: %.0f%%\n", sla*100)
+	if err := exec.Close(); err != nil {
 		return err
 	}
 	wg.Wait()
@@ -103,16 +117,16 @@ func run() error {
 
 // agentProcess is what each agent host runs: load the policy, build the
 // local environment, connect to the coordinator, serve periods until
-// shutdown.
-func agentProcess(addr string, ra int, trained *edgeslice.System) error {
-	envCfg := edgeslice.DefaultEnvConfig()
+// shutdown. The environment is seeded the way NewSystem seeds RA ra's, so
+// the distributed run records the same History a local one would.
+func agentProcess(addr string, ra int, cfg edgeslice.Config, trained *edgeslice.System) error {
+	envCfg := cfg.EnvTemplate
 	envCfg.TrainCoordRandom = false
-	envCfg.Seed = int64(ra+1) * 7919
+	envCfg.Seed = cfg.Seed + int64(ra)*7919
 	env, err := edgeslice.NewEnv(envCfg)
 	if err != nil {
 		return err
 	}
-	env.Reset()
 
 	// Serialize/deserialize the trained policy as a full-fidelity
 	// checkpoint — the same bytes the edgeslice-train CLI writes to disk.

@@ -2,15 +2,8 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"edgeslice/internal/netsim"
-	"edgeslice/internal/nn"
-	"edgeslice/internal/rl"
-	"edgeslice/internal/telemetry"
 )
 
 // Executor runs Algorithm 1 on a System. Every implementation executes the
@@ -24,48 +17,45 @@ import (
 //
 // The implementations differ only in where and how phase 2 executes:
 // Serial steps RAs in-process one after another (the historical
-// RunPeriods behavior), Parallel steps all RAs concurrently on a
-// persistent worker pool, and Remote steps them in separate agent
-// processes over the RC network interface. Serial and Parallel are
-// bit-identical for any worker count; Remote is identical to Serial when
-// the remote agents run the same environments and policies.
+// RunPeriods behavior and the reference oracle), Batched runs one wide
+// forward pass per policy group per interval, and Remote steps RAs in
+// separate agent processes over the RC network interface. Serial and
+// Batched are bit-identical for any worker count; Remote is identical to
+// Serial when the remote agents run the same environments and policies.
 type Executor interface {
-	// Name reports the engine spelling ("serial", "parallel", "remote").
+	// Name reports the engine spelling ("serial", "batched", "remote").
 	Name() string
 	// RunPeriods executes Algorithm 1 for n periods on s, returning the
 	// recorded history. Implementations document their error contract;
-	// Serial and Parallel return a nil history on error.
+	// Serial and Batched return a nil history on error.
 	RunPeriods(s *System, n int) (*History, error)
-	// Close releases executor resources (worker pools, network sessions).
-	// A closed executor must not be reused.
+	// Close releases executor resources (network sessions). A closed
+	// executor must not be reused.
 	Close() error
 }
 
 // Engine spellings accepted by NewExecutor and the -engine CLI flags.
 const (
-	EngineSerial   = "serial"
-	EngineParallel = "parallel"
-	EngineBatched  = "batched"
-	EngineRemote   = "remote"
+	EngineSerial  = "serial"
+	EngineBatched = "batched"
+	EngineRemote  = "remote"
 )
 
-// NewExecutor resolves an in-process engine spelling: "serial" (or empty),
-// "parallel" (workers ≤ 0 defaults to GOMAXPROCS), and "batched" (one wide
-// forward pass per policy group per interval; workers shard the matmul).
-// The remote engine needs a live hub and timeout; construct it with
+// NewExecutor resolves an in-process engine spelling: "serial" (or empty)
+// and "batched" (one wide forward pass per policy group per interval;
+// workers ≤ 0 defaults to GOMAXPROCS and shards the matmul). The remote
+// engine needs a live hub and timeout; construct it with
 // NewRemoteExecutor.
 func NewExecutor(engine string, workers int) (Executor, error) {
 	switch engine {
 	case "", EngineSerial:
 		return NewSerialExecutor(), nil
-	case EngineParallel:
-		return NewParallelExecutor(workers), nil
 	case EngineBatched:
 		return NewBatchedExecutor(workers), nil
 	case EngineRemote:
 		return nil, fmt.Errorf("core: the remote engine wraps a live hub; construct it with NewRemoteExecutor")
 	default:
-		return nil, fmt.Errorf("core: unknown engine %q (want %q, %q or %q)", engine, EngineSerial, EngineParallel, EngineBatched)
+		return nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", engine, EngineSerial, EngineBatched)
 	}
 }
 
@@ -149,9 +139,8 @@ func divideUsage(usage [][]float64, J int) {
 }
 
 // raInterval is one RA's recorded outcome for a single interval — the
-// executor-independent unit the merge phase consumes. Parallel workers
-// fill per-RA slices of these concurrently; the remote executor decodes
-// them from agent reports.
+// executor-independent unit the merge phase consumes. The remote executor
+// decodes them from agent reports and fills them for its local RAs.
 type raInterval struct {
 	perf      []float64                      // U_i per slice
 	queues    []int                          // post-interval queue lengths
@@ -162,7 +151,7 @@ type raInterval struct {
 // mergeIntervals folds per-RA interval records into the history and the
 // monitor in deterministic (interval, RA, slice) order — the same
 // summation and recording order as the serial executor — so merged results
-// are bit-identical regardless of worker count or report arrival order.
+// are bit-identical regardless of report arrival order.
 func (s *System) mergeIntervals(h *History, base int, recs [][]raInterval) error {
 	I := h.NumSlices
 	J := len(recs)
@@ -265,249 +254,4 @@ func (serialExecutor) RunPeriods(s *System, n int) (*History, error) {
 		}
 	}
 	return h, nil
-}
-
-// ParallelExecutor steps all RAs concurrently on a persistent worker pool.
-// Within a period, RA trajectories are mutually independent — each agent
-// observes only its own environment under coordination that is fixed for
-// the whole period — so one worker advances one RA through all T intervals
-// without cross-RA barriers. Per-RA interval records are buffered and
-// merged in deterministic RA order afterwards, making the output
-// bit-identical to the serial engine for any worker count.
-//
-// Policy inference is race-free: batch-capable agents (every built-in
-// trainer and LoadAgent's policies) run lock-free single-row batched
-// forwards out of per-RA workspaces — weights are only read — and agent
-// implementations without a batched path are serialized behind a
-// per-instance mutex (see concurrentActionFns). All supported policies are
-// deterministic forward passes, so wrapping never changes an action.
-//
-// A ParallelExecutor is intended to drive one run at a time; concurrent
-// RunPeriods calls on the same executor are not supported (the underlying
-// System is not concurrency-safe either). Close releases the pool.
-type ParallelExecutor struct {
-	workers int
-
-	// busy tracks workers currently executing a job (pool occupancy) and
-	// steps counts RA-period step jobs completed — both exported through
-	// EnableTelemetry.
-	busy  atomic.Int64
-	steps atomic.Uint64
-
-	mu     sync.Mutex
-	jobs   chan func()
-	closed bool
-
-	// Cached action closures (and their per-RA inference workspaces), keyed
-	// on the system and its agent generation: period-at-a-time driving (the
-	// scenario runner calls RunPeriods(1) per period) must not rebuild them
-	// every call. Accessed only from RunPeriods, which is single-driver by
-	// contract.
-	cacheSys  *System
-	cacheGen  int
-	cacheActs []func() ([]float64, error)
-}
-
-// NewParallelExecutor returns a parallel engine with the given worker-pool
-// size; workers ≤ 0 defaults to GOMAXPROCS. Workers are started lazily on
-// the first RunPeriods call and live until Close.
-func NewParallelExecutor(workers int) *ParallelExecutor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &ParallelExecutor{workers: workers}
-}
-
-// Name implements Executor.
-func (e *ParallelExecutor) Name() string { return EngineParallel }
-
-// Workers returns the pool size.
-func (e *ParallelExecutor) Workers() int { return e.workers }
-
-// Close implements Executor: it stops the worker pool. Safe to call more
-// than once; RunPeriods after Close returns an error.
-func (e *ParallelExecutor) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.closed {
-		e.closed = true
-		if e.jobs != nil {
-			close(e.jobs)
-			e.jobs = nil
-		}
-	}
-	return nil
-}
-
-// pool returns the job channel, starting the workers on first use.
-func (e *ParallelExecutor) pool() (chan<- func(), error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, fmt.Errorf("core: parallel executor is closed")
-	}
-	if e.jobs == nil {
-		e.jobs = make(chan func())
-		for w := 0; w < e.workers; w++ {
-			go func(jobs <-chan func()) {
-				for job := range jobs {
-					e.busy.Add(1)
-					job()
-					e.busy.Add(-1)
-				}
-			}(e.jobs)
-		}
-	}
-	return e.jobs, nil
-}
-
-// EnableTelemetry exports the pool's occupancy and throughput counters
-// through a telemetry registry.
-func (e *ParallelExecutor) EnableTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("edgeslice_executor_workers",
-		"parallel executor pool size", func() float64 { return float64(e.workers) })
-	reg.GaugeFunc("edgeslice_executor_busy_workers",
-		"workers currently stepping an RA", func() float64 { return float64(e.busy.Load()) })
-	reg.CounterFunc("edgeslice_executor_ra_steps_total",
-		"RA period-step jobs completed by the pool", e.steps.Load)
-}
-
-// RunPeriods implements Executor. On error it returns a nil history; when
-// several RAs fail in the same period, the lowest-numbered RA's error is
-// reported (deterministically, independent of worker scheduling).
-func (e *ParallelExecutor) RunPeriods(s *System, n int) (*History, error) {
-	if err := s.checkRunnable(n); err != nil {
-		return nil, err
-	}
-	jobs, err := e.pool()
-	if err != nil {
-		return nil, err
-	}
-	J := s.cfg.NumRAs
-	T := s.cfg.EnvTemplate.T
-	h := s.newRunHistory()
-	acts := e.actionFns(s)
-	recs := make([][]raInterval, J)
-	errs := make([]error, J)
-
-	for p := 0; p < n; p++ {
-		if err := s.distribute(); err != nil {
-			return nil, err
-		}
-		base := s.intervalsRun
-		var wg sync.WaitGroup
-		for j := 0; j < J; j++ {
-			j := j
-			wg.Add(1)
-			jobs <- func() {
-				defer wg.Done()
-				recs[j], errs[j] = stepRA(s.envs[j], T, base, j, acts[j])
-				e.steps.Add(1)
-			}
-		}
-		wg.Wait()
-		s.intervalsRun += T
-		for j := 0; j < J; j++ {
-			if errs[j] != nil {
-				return nil, errs[j]
-			}
-		}
-		if err := s.mergeIntervals(h, base, recs); err != nil {
-			return nil, err
-		}
-		if err := s.collectAndUpdate(h); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
-}
-
-// actionFns returns the per-RA action closures for s, rebuilding them only
-// when the system or its installed agents changed since the last call.
-func (e *ParallelExecutor) actionFns(s *System) []func() ([]float64, error) {
-	if e.cacheActs == nil || e.cacheSys != s || e.cacheGen != s.agentsGen {
-		e.cacheSys = s
-		e.cacheGen = s.agentsGen
-		e.cacheActs = s.concurrentActionFns()
-	}
-	return e.cacheActs
-}
-
-// stepRA advances one RA through the period's T intervals (the worker-side
-// body of phase 2), buffering the per-interval records for the merge.
-func stepRA(env *netsim.RAEnv, T, base, ra int, act func() ([]float64, error)) ([]raInterval, error) {
-	recs := make([]raInterval, T)
-	for t := 0; t < T; t++ {
-		a, err := act()
-		if err != nil {
-			return nil, err
-		}
-		res, err := env.StepInterval(a)
-		if err != nil {
-			return nil, fmt.Errorf("core: RA %d interval %d: %w", ra, base+t, err)
-		}
-		recs[t] = raInterval{
-			perf:      res.Perf,
-			queues:    res.QueueLens,
-			eff:       res.Effective,
-			violation: res.Violation,
-		}
-	}
-	return recs, nil
-}
-
-// concurrentActionFns returns one action closure per RA, safe to call from
-// concurrent per-RA workers. Baseline policies read only their own RA's
-// environment. Learning agents are wrapped for race-free inference:
-// batch-capable agents (every built-in trainer, pooled and locked loaded
-// policies) run a lock-free single-row ActBatch out of a per-RA workspace —
-// weights are only read, scratch is private — so no clone pool and no
-// serialization is needed, and rows are bit-identical to Act. Agents
-// without a batched path fall back to scalar Act behind a per-instance
-// mutex, so one slow or unknown agent serializes only the RAs that actually
-// share that instance, not the whole system; agents whose dynamic type is
-// not comparable (e.g. rl.AgentFunc) cannot be keyed by instance and share
-// one mutex, since aliasing is undetectable for them.
-func (s *System) concurrentActionFns() []func() ([]float64, error) {
-	J := s.cfg.NumRAs
-	out := make([]func() ([]float64, error), J)
-	if !s.cfg.Algo.IsLearning() {
-		for j := 0; j < J; j++ {
-			j := j
-			out[j] = func() ([]float64, error) { return s.action(j) }
-		}
-		return out
-	}
-	fallbackMus := make(map[rl.Agent]*sync.Mutex, 1)
-	var uncomparableMu sync.Mutex
-	for j := 0; j < J; j++ {
-		env := s.envs[j]
-		agent := s.agents[j]
-		if ba := rl.AsBatchActor(agent); ba != nil {
-			var ws nn.Workspace
-			dim := env.StateDim()
-			out[j] = func() ([]float64, error) {
-				ws.Reset()
-				in := ws.Next(1, dim)
-				in.Data = env.StateInto(in.Data[:0])
-				return ba.ActBatch(in, &ws).Row(0), nil
-			}
-			continue
-		}
-		var mu *sync.Mutex
-		if reflect.TypeOf(agent).Comparable() {
-			if mu = fallbackMus[agent]; mu == nil {
-				mu = new(sync.Mutex)
-				fallbackMus[agent] = mu
-			}
-		} else {
-			mu = &uncomparableMu
-		}
-		out[j] = func() ([]float64, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return agent.Act(env.State()), nil
-		}
-	}
-	return out
 }

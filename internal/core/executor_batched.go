@@ -13,14 +13,14 @@ import (
 	"edgeslice/internal/telemetry"
 )
 
-// BatchedExecutor replaces the per-RA action closures of the other engines
-// with a gather→batch-forward→scatter stage: every interval it gathers all
-// RA observations into one matrix per distinct policy, runs a single wide
+// BatchedExecutor replaces the serial engine's per-RA actions with a
+// gather→batch-forward→scatter stage: every interval it gathers all RA
+// observations into one matrix per distinct policy, runs a single wide
 // forward pass per policy group (rl.BatchActor), and scatters the action
 // rows back to the environments. At hundreds of RAs this turns J×T tiny
-// matmuls per period — plus clone-pool and scheduler traffic — into T wide
-// matmuls that hit the register-tiled kernel at full throughput and
-// allocate nothing warm.
+// matmuls per period into T wide matmuls that hit the register-tiled
+// kernel at full throughput and allocate nothing warm. It is the local
+// engine of choice; the serial engine stays as the reference oracle.
 //
 // Determinism: the result is bit-identical to the serial engine for any
 // worker count, by construction —
@@ -42,7 +42,9 @@ import (
 // without a batched path act through System.action at their RA's position
 // in the step loop, which also needs no locking here.
 //
-// A BatchedExecutor drives one run at a time, like ParallelExecutor.
+// A BatchedExecutor drives one run at a time; concurrent RunPeriods calls
+// on the same executor are not supported (the underlying System is not
+// concurrency-safe either).
 type BatchedExecutor struct {
 	workers int
 

@@ -73,6 +73,30 @@ func algoSystem(t *testing.T, cfg Config, algo string) *System {
 	return s
 }
 
+// requireBatchedMatchesSerial runs one deployment under the serial engine
+// and again, freshly deployed, under the batched engine for worker counts
+// 1, 4, and NumRAs, requiring identical History and monitor series.
+func requireBatchedMatchesSerial(t *testing.T, cfg Config, periods int, deploy func(*testing.T) *System) {
+	t.Helper()
+	ref := deploy(t)
+	hRef, err := ref.RunPeriods(periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4, cfg.NumRAs} {
+		e := NewBatchedExecutor(workers)
+		s := deploy(t)
+		h, err := s.RunPeriodsWith(e, periods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRun(t, fmt.Sprintf("workers=%d", workers), hRef, h, ref.Monitor(), s.Monitor())
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBatchedMatchesSerial is the batched half of the determinism suite:
 // for every training algorithm's policy, the batched engine's History and
 // monitor series must be bit-identical to the serial engine's, for worker
@@ -85,23 +109,20 @@ func TestBatchedMatchesSerial(t *testing.T) {
 	} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
-			ref := algoSystem(t, cfg, algo)
-			hRef, err := ref.RunPeriods(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4, cfg.NumRAs} {
-				e := NewBatchedExecutor(workers)
-				s := algoSystem(t, cfg, algo)
-				h, err := s.RunPeriodsWith(e, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRun(t, fmt.Sprintf("workers=%d", workers), hRef, h, ref.Monitor(), s.Monitor())
-				if err := e.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			requireBatchedMatchesSerial(t, cfg, 4, func(t *testing.T) *System { return algoSystem(t, cfg, algo) })
+		})
+	}
+}
+
+// TestParallelMatchesSerial is the determinism suite's core half: for a
+// loaded learning deployment and a baseline, the batched engine must be
+// bit-identical to the serial engine for worker counts 1, 4, and NumRAs.
+func TestParallelMatchesSerial(t *testing.T) {
+	for _, algo := range []Algorithm{AlgoEdgeSlice, AlgoTARO} {
+		algo := algo
+		t.Run(algo.String(), func(t *testing.T) {
+			cfg := execTestConfig(algo)
+			requireBatchedMatchesSerial(t, cfg, 4, func(t *testing.T) *System { return deployedSystem(t, cfg) })
 		})
 	}
 }
@@ -121,6 +142,9 @@ func TestBatchedBaselineFallsBackToSerial(t *testing.T) {
 	h, err := s.RunPeriodsWith(e, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if groups, fb := len(e.cachePlan.groups), e.cachePlan.fallback; groups != 0 || fb != cfg.NumRAs {
+		t.Fatalf("plan has %d groups and %d fallback RAs, want 0 and %d", groups, fb, cfg.NumRAs)
 	}
 	requireSameRun(t, "baseline-fallback", hRef, h, ref.Monitor(), s.Monitor())
 }
@@ -145,34 +169,49 @@ func mixedAgents(t *testing.T, s *System) {
 	}
 }
 
-// TestBatchedMixedSystemMatchesSerial covers systems that split into a
-// batched group plus legacy fallback RAs: the interleaved scatter must
+// sharedStubAgent installs one opaque agent on every RA: a single
+// rl.AgentFunc whose every Act writes one shared scratch buffer, so it is
+// only correct if the engine never calls it concurrently.
+func sharedStubAgent(t *testing.T, s *System) {
+	t.Helper()
+	scratch := make([]float64, s.Env(0).ActionDim())
+	stub := rl.AgentFunc(func(state []float64) []float64 {
+		for i := range scratch {
+			scratch[i] = 0.1 + 0.05*float64(i%3)
+		}
+		return append([]float64(nil), scratch...)
+	})
+	if err := s.SetAgents([]rl.Agent{stub}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchedMixedSystemMatchesSerial covers systems that route RAs
+// through the per-RA fallback: a batched group interleaved with fallback
+// RAs, and one shared unknown agent serving every RA. The scatter must
 // still merge History and monitor series in serial's (interval, RA, slice)
 // order.
 func TestBatchedMixedSystemMatchesSerial(t *testing.T) {
 	cfg := execTestConfig(AlgoEdgeSlice)
 	cfg.NumRAs = 4
-	ref, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixedAgents(t, ref)
-	hRef, err := ref.RunPeriods(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixedAgents(t, s)
-		e := NewBatchedExecutor(workers)
-		h, err := s.RunPeriodsWith(e, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameRun(t, fmt.Sprintf("mixed workers=%d", workers), hRef, h, ref.Monitor(), s.Monitor())
+	for _, tc := range []struct {
+		name    string
+		install func(*testing.T, *System)
+	}{
+		{"mixed", mixedAgents},
+		{"shared-unknown", sharedStubAgent},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			requireBatchedMatchesSerial(t, cfg, 3, func(t *testing.T) *System {
+				s, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.install(t, s)
+				return s
+			})
+		})
 	}
 }
 
@@ -228,6 +267,38 @@ func TestBatchedPersistentAcrossCalls(t *testing.T) {
 		}
 	}
 	requireSameRun(t, "period-at-a-time", hRef, h, ref.Monitor(), s.Monitor())
+}
+
+// TestParallelPersistentPoolAcrossCalls drives a group wide enough to shard
+// across worker goroutines one period per call: the executor's cached plan
+// and its per-shard workspaces persist between calls, and the stitched run
+// must match one serial RunPeriods(n) call, including the continuous
+// monitor interval numbering.
+func TestParallelPersistentPoolAcrossCalls(t *testing.T) {
+	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg.NumRAs = 2*minShardRows + 2
+	ref := deployedSystem(t, cfg)
+	hRef, err := ref.RunPeriods(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := deployedSystem(t, cfg)
+	e := NewBatchedExecutor(4)
+	defer e.Close()
+	h := NewHistory(hRef.NumSlices, hRef.NumRAs, hRef.T)
+	for p := 0; p < 3; p++ {
+		hp, err := s.RunPeriodsWith(e, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Append(hp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shards := len(e.cachePlan.groups[0].res); shards < 2 {
+		t.Fatalf("expected a sharded wide forward, got %d shard(s)", shards)
+	}
+	requireSameRun(t, "sharded period-at-a-time", hRef, h, ref.Monitor(), s.Monitor())
 }
 
 // TestBatchedTelemetry pins the engine's exported gauges: forwards

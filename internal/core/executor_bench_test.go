@@ -11,8 +11,8 @@ import (
 
 // BenchmarkRunPeriods measures one Algorithm-1 period across RA counts and
 // engines. The deployed policy is a paper-scale 2x128 actor so inference
-// dominates the interval cost — the workload the parallel and batched
-// engines exist for. The engine ratios at each RA count are the
+// dominates the interval cost — the workload the batched engine exists
+// for. The engine ratios at each RA count are the
 // inference-scaling numbers reported in DESIGN.md.
 func BenchmarkRunPeriods(b *testing.B) {
 	for _, ras := range []int{8, 32, 128, 512, 2048} {
@@ -32,7 +32,7 @@ func BenchmarkRunPeriods(b *testing.B) {
 		if err := s.SetAgents([]rl.Agent{newPooledPolicy(actor)}); err != nil {
 			b.Fatal(err)
 		}
-		for _, engine := range []string{EngineSerial, EngineParallel, EngineBatched} {
+		for _, engine := range []string{EngineSerial, EngineBatched} {
 			exec, err := NewExecutor(engine, 0)
 			if err != nil {
 				b.Fatal(err)

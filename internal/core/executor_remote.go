@@ -14,9 +14,9 @@ import (
 // agent processes over the RC network interface: phase 1 broadcasts the
 // coordination grids through the hub, phase 2 happens inside each agent
 // (rcnet.RunAgent), and the agents' per-interval records are merged here
-// in deterministic RA order — the same merge the parallel engine uses —
-// so a distributed run records the same History, monitor series, SLA
-// flags, and primal/dual residuals as a local one.
+// in deterministic (interval, RA, slice) order — the serial engine's
+// recording order — so a distributed run records the same History,
+// monitor series, SLA flags, and primal/dual residuals as a local one.
 //
 // The System supplies the run's shape (slices, RAs, T), the ADMM
 // coordinator, and the monitor; its local environments and agents are
@@ -117,8 +117,8 @@ func (e *RemoteExecutor) localPlan(s *System) *batchPlan {
 // installs the coordination columns, runs the batch plan's grouped wide
 // forwards (or the per-RA fallback) for each of the T intervals, and
 // fills the locals' interval records and perf columns — exactly what a
-// remote agent's report would have carried, produced by the same
-// stepRA-shaped loop, so the merged result is bit-identical.
+// remote agent's report would have carried, so the merged result is
+// bit-identical.
 func (e *RemoteExecutor) stepLocal(s *System, plan *batchPlan, p int, recs [][]raInterval, perf [][]float64) error {
 	I := s.cfg.EnvTemplate.NumSlices
 	T := s.cfg.EnvTemplate.T
@@ -231,10 +231,10 @@ func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p, J int, rec
 // (scenario runner) and resumed runs broadcast globally consistent period
 // ids — which the fault-tolerance protocol relies on for replay and retry.
 //
-// Partial-history contract (mirroring rcnet.RunCoordinator): on failure it
-// returns a non-nil error TOGETHER with the history prefix of every period
-// that fully completed — broadcast, collect, merge, and ADMM update — so a
-// dropped agent mid-run does not discard the periods already recorded.
+// Partial-history contract: on failure it returns a non-nil error TOGETHER
+// with the history prefix of every period that fully completed —
+// broadcast, collect, merge, and ADMM update — so a dropped agent mid-run
+// does not discard the periods already recorded.
 func (e *RemoteExecutor) RunPeriods(s *System, n int) (*History, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: periods %d must be positive", n)
@@ -313,7 +313,7 @@ func (e *RemoteExecutor) RunPeriods(s *System, n int) (*History, error) {
 // the run's shape and converts them to the merge representation.
 func decodeIntervals(rep rcnet.Envelope, I, T int) ([]raInterval, error) {
 	if len(rep.Intervals) == 0 {
-		return nil, fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent or drive the run with rcnet.RunCoordinator", rep.RA)
+		return nil, fmt.Errorf("core: RA %d report carries no interval records (agents must attach one per interval, as rcnet.RunAgent does)", rep.RA)
 	}
 	if len(rep.Intervals) != T {
 		return nil, fmt.Errorf("core: RA %d reported %d intervals, want %d", rep.RA, len(rep.Intervals), T)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -74,7 +73,6 @@ func TestNewExecutorSpellings(t *testing.T) {
 	}{
 		{"", EngineSerial},
 		{EngineSerial, EngineSerial},
-		{EngineParallel, EngineParallel},
 		{EngineBatched, EngineBatched},
 	} {
 		e, err := NewExecutor(tc.engine, 2)
@@ -91,8 +89,10 @@ func TestNewExecutorSpellings(t *testing.T) {
 	if _, err := NewExecutor(EngineRemote, 0); err == nil {
 		t.Error("NewExecutor(remote) should direct callers to NewRemoteExecutor")
 	}
-	if _, err := NewExecutor("bogus", 0); err == nil {
-		t.Error("unknown engine should fail")
+	for _, engine := range []string{"parallel", "bogus"} {
+		if _, err := NewExecutor(engine, 0); err == nil {
+			t.Errorf("NewExecutor(%q) should fail as an unknown engine", engine)
+		}
 	}
 }
 
@@ -112,119 +112,6 @@ func TestSerialExecutorIsRunPeriods(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRun(t, "serial-executor", h1, h2, s1.Monitor(), s2.Monitor())
-}
-
-// TestParallelMatchesSerial is the determinism suite's core half: for a
-// learning deployment and a baseline, the parallel engine must be
-// bit-identical to the serial engine for worker counts 1, 4, and NumRAs.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoEdgeSlice, AlgoTARO} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			cfg := execTestConfig(algo)
-			ref := deployedSystem(t, cfg)
-			hRef, err := ref.RunPeriods(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4, cfg.NumRAs} {
-				e := NewParallelExecutor(workers)
-				s := deployedSystem(t, cfg)
-				h, err := s.RunPeriodsWith(e, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRun(t, fmt.Sprintf("workers=%d", workers), hRef, h, ref.Monitor(), s.Monitor())
-				if err := e.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelPersistentPoolAcrossCalls exercises the scenario-runner
-// calling pattern: one executor driving many RunPeriods(1) calls must
-// match one serial RunPeriods(n) call, including the continuous monitor
-// interval numbering.
-func TestParallelPersistentPoolAcrossCalls(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := deployedSystem(t, cfg)
-	e := NewParallelExecutor(2)
-	defer e.Close()
-	h := NewHistory(hRef.NumSlices, hRef.NumRAs, hRef.T)
-	for p := 0; p < 3; p++ {
-		hp, err := s.RunPeriodsWith(e, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Append(hp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	requireSameRun(t, "period-at-a-time", hRef, h, ref.Monitor(), s.Monitor())
-}
-
-// TestParallelSerializesUnknownAgents proves the fallback path: a shared
-// agent implementation core knows nothing about must still produce the
-// serial result (its Act calls are serialized behind one mutex).
-func TestParallelSerializesUnknownAgents(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	// A deterministic but unsafe-looking stub: every Act reuses one shared
-	// scratch buffer, so unsynchronized concurrent calls would race.
-	newStub := func() rl.Agent {
-		scratch := make([]float64, 6)
-		return rl.AgentFunc(func(state []float64) []float64 {
-			for i := range scratch {
-				scratch[i] = 0.1 + 0.05*float64(i%3)
-			}
-			return append([]float64(nil), scratch...)
-		})
-	}
-	ref, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SetAgents([]rl.Agent{newStub()}); err != nil {
-		t.Fatal(err)
-	}
-	hRef, err := ref.RunPeriods(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetAgents([]rl.Agent{newStub()}); err != nil {
-		t.Fatal(err)
-	}
-	e := NewParallelExecutor(cfg.NumRAs)
-	defer e.Close()
-	h, err := s.RunPeriodsWith(e, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRun(t, "unknown-agent", hRef, h, ref.Monitor(), s.Monitor())
-}
-
-func TestParallelExecutorClosedRejectsRuns(t *testing.T) {
-	e := NewParallelExecutor(2)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	s := deployedSystem(t, execTestConfig(AlgoTARO))
-	if _, err := s.RunPeriodsWith(e, 1); err == nil {
-		t.Error("RunPeriods on a closed executor should fail")
-	}
 }
 
 // TestUsageSumsBeforeDividing pins the usage-accumulation semantics: the

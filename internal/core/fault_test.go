@@ -88,6 +88,98 @@ func startRemoteAgent(t *testing.T, hub *rcnet.Hub, cfg Config, j int) (*rcnet.A
 	return client, done
 }
 
+// TestRemotePartialHistoryOnDroppedAgent pins the remote engine's
+// partial-history contract: when RA 0 drops after 2 of 5 periods and no
+// retries are configured, RunPeriods returns a non-nil error together with
+// the 2 fully completed periods, whose PeriodPerf is exactly what RA 0
+// reported and which match a 2-period serial run bit for bit.
+func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
+	cfg := execTestConfig(AlgoTARO)
+	cfg.NumRAs = 2
+	const (
+		servedPeriods = 2 // RA 0 disconnects after this many periods
+		askedPeriods  = 5
+	)
+	ref := deployedSystem(t, cfg)
+	hRef, err := ref.RunPeriods(servedPeriods)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	I := cfg.EnvTemplate.NumSlices
+	hub, err := rcnet.NewHub("127.0.0.1:0", I, cfg.NumRAs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewRemoteExecutor(hub, 500*time.Millisecond)
+	defer e.Close()
+
+	// RA 0: serves servedPeriods rounds with full interval records, keeps
+	// what it reported, then closes its connection without a word.
+	env0 := remoteAgentEnv(t, cfg, 0)
+	c0, err := rcnet.DialAgent(hub.Addr(), 0, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := make([][]float64, 0, servedPeriods)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer c0.Close()
+		pol := taroFor(env0)
+		for p := 0; p < servedPeriods; p++ {
+			period, z, y, err := c0.RecvCoordination(5 * time.Second)
+			if err != nil {
+				t.Errorf("RA 0 period %d: %v", p, err)
+				return
+			}
+			perf, queues, recs, err := stepAgentPeriod(env0, pol, z, y)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reported = append(reported, append([]float64(nil), perf...))
+			if err := c0.Report(period, perf, queues, recs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	_, done1 := startRemoteAgent(t, hub, cfg, 1)
+	if err := hub.WaitRegistered(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sys.RunPeriodsWith(e, askedPeriods)
+	if err == nil {
+		t.Fatal("RunPeriods should fail after RA 0 drops")
+	}
+	wg.Wait()
+	if h == nil || h.Periods() != servedPeriods {
+		t.Fatalf("partial history = %v, want the intact prefix of %d periods", h, servedPeriods)
+	}
+	for p := range reported {
+		for i := 0; i < I; i++ {
+			if got := h.PeriodPerf[p][i][0]; got != reported[p][i] {
+				t.Errorf("period %d slice %d: prefix has %v, RA 0 reported %v", p, i, got, reported[p][i])
+			}
+		}
+	}
+	requireSameRun(t, "partial", hRef, h, ref.Monitor(), sys.Monitor())
+	if got := sys.coord.Iterations(); got != servedPeriods {
+		t.Errorf("coordinator ran %d iterations, want %d (the failed period must not update)", got, servedPeriods)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done1 // RA 1 exits on shutdown or the closed connection; either is fine
+}
+
 // TestRemoteSurvivesAgentKillAndRestart is the tentpole's acceptance test:
 // one RA crashes the moment it receives period 2's broadcast (before
 // stepping or reporting), a fresh incarnation re-registers with a fresh

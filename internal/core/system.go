@@ -169,9 +169,9 @@ type System struct {
 
 	trained bool
 	// agentsGen counts agent installations (Train/SetAgents/Restore); the
-	// parallel executor keys its cached action closures — and their clone
-	// pools — on it so they survive period-at-a-time driving but never
-	// outlive an agent swap.
+	// batched and remote executors key their cached batch plans on it so
+	// they survive period-at-a-time driving but never outlive an agent
+	// swap.
 	agentsGen int
 	// intervalsRun numbers monitor samples continuously across RunPeriods
 	// calls (the scenario runner advances period by period).
@@ -372,7 +372,7 @@ func (s *System) RunPeriods(n int) (*History, error) {
 }
 
 // RunPeriodsWith executes Algorithm 1 for n periods under the given
-// execution engine (see Executor): serial, parallel per-RA stepping, or
+// execution engine (see Executor): serial, batched cross-RA inference, or
 // remote agents over the RC network interface.
 func (s *System) RunPeriodsWith(e Executor, n int) (*History, error) {
 	return e.RunPeriods(s, n)

@@ -173,13 +173,13 @@ func (mr *msgReader) readBinary() (Envelope, error) {
 	e.Y = d.floats()
 	e.Perf = d.floats()
 	e.Queues = d.ints()
-	if n := d.count(); n > 0 {
+	if n := d.count(minIntervalBytes); n > 0 {
 		e.Intervals = make([]IntervalRecord, n)
 		for i := range e.Intervals {
 			ir := &e.Intervals[i]
 			ir.Perf = d.floats()
 			ir.Queues = d.ints()
-			if rows := d.count(); rows > 0 {
+			if rows := d.count(minRowBytes); rows > 0 {
 				ir.Effective = make([][]float64, rows)
 				for r := range ir.Effective {
 					ir.Effective[r] = d.floats()
@@ -230,15 +230,27 @@ func (d *binDecoder) int() int {
 	return int(int32(binary.LittleEndian.Uint32(b)))
 }
 
-// count reads a slice length and bounds it by the remaining payload, so a
-// hostile count cannot force a huge allocation.
-func (d *binDecoder) count() int {
+// Minimum encoded size of one element of each length-prefixed slice.
+const (
+	countBytes       = 4 // a slice's uint32 length prefix
+	minFloatBytes    = 8
+	minIntBytes      = 4
+	minRowBytes      = countBytes                   // an empty float row
+	minIntervalBytes = 3*countBytes + minFloatBytes // empty perf, queues, effective + violation
+)
+
+// count reads a slice length and bounds it by how many elements of at
+// least minBytes each the remaining payload can hold, so a hostile count
+// cannot make the decoder allocate more than a small multiple of the frame
+// (an in-memory element is at most a few times its minimum encoding)
+// before the frame is rejected.
+func (d *binDecoder) count(minBytes int) int {
 	b := d.take(4)
 	if b == nil {
 		return 0
 	}
 	n := binary.LittleEndian.Uint32(b)
-	if int(n) > len(d.b) {
+	if uint64(n) > uint64(len(d.b)/minBytes) {
 		d.err = errShortFrame
 		return 0
 	}
@@ -254,7 +266,7 @@ func (d *binDecoder) float() float64 {
 }
 
 func (d *binDecoder) floats() []float64 {
-	n := d.count()
+	n := d.count(minFloatBytes)
 	if n == 0 || d.err != nil {
 		return nil
 	}
@@ -269,7 +281,7 @@ func (d *binDecoder) floats() []float64 {
 }
 
 func (d *binDecoder) ints() []int {
-	n := d.count()
+	n := d.count(minIntBytes)
 	if n == 0 || d.err != nil {
 		return nil
 	}
@@ -284,7 +296,7 @@ func (d *binDecoder) ints() []int {
 }
 
 func (d *binDecoder) floatRows() [][]float64 {
-	n := d.count()
+	n := d.count(minRowBytes)
 	if n == 0 || d.err != nil {
 		return nil
 	}

@@ -89,8 +89,8 @@ type Envelope struct {
 	// Intervals carries the period's per-interval records (one entry per
 	// orchestration interval, in order). Agents driven by RunAgent always
 	// include them; they let the coordinator side reconstruct the same
-	// History and monitor series a local run records. Absent in reports
-	// from pre-engine agent builds.
+	// History and monitor series a local run records. Absent in
+	// summary-only reports (ReportPerf), which the remote engine rejects.
 	Intervals []IntervalRecord `json:"intervals,omitempty"`
 	// ZHist/YHist are only set on MsgResume frames: the RA's coordination
 	// columns for periods [0, Period), in period order, so a re-registered
