@@ -117,8 +117,8 @@ type Coordinator = admm.Coordinator
 
 // Distributed-deployment types (RC interface over TCP).
 type (
-	// Hub is the coordinator-side network endpoint, internally sharded for
-	// parallel broadcast and collection (NewShardedHub).
+	// Hub is the coordinator-side network endpoint: one RA-indexed
+	// connection table that broadcasts coordination and collects reports.
 	Hub = rcnet.Hub
 	// HubStats is a snapshot of the hub's lifetime counters, including
 	// wire-level traffic.
@@ -322,16 +322,9 @@ func NewRemoteExecutorWithOptions(hub *Hub, opts RemoteOptions) Executor {
 	return core.NewRemoteExecutorWithOptions(hub, opts)
 }
 
-// NewHub starts the coordinator-side RC endpoint on addr (single shard).
+// NewHub starts the coordinator-side RC endpoint on addr.
 func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
 	return rcnet.NewHub(addr, numSlices, numRAs)
-}
-
-// NewShardedHub starts the coordinator-side RC endpoint with the RA space
-// split across shards, each broadcasting and collecting in parallel under
-// its own lock. Runs are bit-identical for any shard count.
-func NewShardedHub(addr string, numSlices, numRAs, shards int) (*Hub, error) {
-	return rcnet.NewShardedHub(addr, numSlices, numRAs, shards)
 }
 
 // ParseCodec resolves a wire-codec CLI spelling ("json", "binary", or ""
@@ -353,15 +346,6 @@ func DialAgentCodec(addr string, ra int, timeout time.Duration, codec Codec) (*A
 // RunAgent drives one RA from the agent side until shutdown.
 func RunAgent(c *AgentClient, env *Env, agent Agent, timeout time.Duration) error {
 	return rcnet.RunAgent(c, env, agent, timeout)
-}
-
-// NewCoordinator creates a standalone ADMM performance coordinator, e.g.
-// to drive a Hub's Broadcast/Collect rounds by hand. NewSystem embeds its
-// own, which the remote engine uses.
-func NewCoordinator(numSlices, numRAs int, rho float64, umin []float64) (*Coordinator, error) {
-	return admm.NewCoordinator(admm.Config{
-		NumSlices: numSlices, NumRAs: numRAs, Rho: rho, UminPerSlice: umin,
-	})
 }
 
 // SynthesizeTrace builds a Trento-like diurnal traffic trace with the given

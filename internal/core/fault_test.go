@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -129,18 +130,21 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 		defer c0.Close()
 		pol := taroFor(env0)
 		for p := 0; p < servedPeriods; p++ {
-			period, z, y, err := c0.RecvCoordination(5 * time.Second)
+			m, err := c0.Recv(5 * time.Second)
+			if err == nil && m.Type != rcnet.MsgCoordination {
+				err = fmt.Errorf("got a %s frame, want coordination", m.Type)
+			}
 			if err != nil {
 				t.Errorf("RA 0 period %d: %v", p, err)
 				return
 			}
-			perf, queues, recs, err := stepAgentPeriod(env0, pol, z, y)
+			perf, queues, recs, err := stepAgentPeriod(env0, pol, m.Z, m.Y)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			reported = append(reported, append([]float64(nil), perf...))
-			if err := c0.Report(period, perf, queues, recs); err != nil {
+			if err := c0.Report(m.Period, perf, queues, recs); err != nil {
 				t.Error(err)
 				return
 			}

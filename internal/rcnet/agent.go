@@ -1,7 +1,6 @@
 package rcnet
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -26,10 +25,6 @@ type AgentClient struct {
 	stats agentStats
 	wire  wireStats
 }
-
-// ErrShutdown is returned by RecvCoordination when the coordinator ends the
-// session.
-var ErrShutdown = errors.New("rcnet: coordinator shut down")
 
 // DialAgent connects to the hub and registers as the given RA using the
 // JSON wire codec — the compatibility default. The timeout bounds the
@@ -96,35 +91,10 @@ func (c *AgentClient) Recv(timeout time.Duration) (Envelope, error) {
 	}
 }
 
-// RecvCoordination blocks for the next coordination message. It returns
-// ErrShutdown when the hub ends the session. Resume frames are skipped:
-// callers that participate in mid-run re-registration should use Recv (or
-// RunAgent, which handles the replay).
-func (c *AgentClient) RecvCoordination(timeout time.Duration) (period int, z, y []float64, err error) {
-	for {
-		m, err := c.Recv(timeout)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		switch m.Type {
-		case MsgShutdown:
-			return 0, nil, nil, ErrShutdown
-		case MsgCoordination:
-			return m.Period, m.Z, m.Y, nil
-		}
-	}
-}
-
-// ReportPerf sends the period's cumulative slice performance, optionally
-// with the RC-M queue snapshot.
-func (c *AgentClient) ReportPerf(period int, perf []float64, queues []int) error {
-	return c.Report(period, perf, queues, nil)
-}
-
 // Report sends the period's cumulative slice performance together with the
 // per-interval records that let the coordinator reconstruct the full local
 // History (see IntervalRecord). intervals may be nil for a summary-only
-// report (ReportPerf).
+// report.
 func (c *AgentClient) Report(period int, perf []float64, queues []int, intervals []IntervalRecord) error {
 	c.wmu.Lock()
 	//edgeslice:lockio wmu only serializes this client's two writers (report vs heartbeat) on its own conn; blocking here blocks nobody else

@@ -3,7 +3,6 @@ package rcnet
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -71,22 +70,13 @@ func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 }
 
 // BenchmarkHubPeriodsPerSec drives full coordination periods — broadcast
-// 1024 columns, collect 1024 reports over real TCP — against hubs of 1, 2,
-// and 4 shards. Agents are minimal echo loops (no simulation), so the
-// measurement isolates the coordination plane: frame codec, shard fan-out,
-// and collect fan-in.
+// 1024 columns, collect 1024 reports over real TCP — through the calls the
+// remote engine makes (BroadcastTo, CollectReportsInto). Agents are
+// minimal echo loops (no simulation), so the measurement isolates the
+// coordination plane: frame codec, broadcast fan-out, and collect fan-in.
 func BenchmarkHubPeriodsPerSec(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchmarkHubPeriods(b, shards)
-		})
-	}
-}
-
-func benchmarkHubPeriods(b *testing.B, shards int) {
 	const ras, slices = 1024, 2
-	h, err := NewShardedHub("127.0.0.1:0", slices, ras, shards)
+	h, err := NewHub("127.0.0.1:0", slices, ras)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,12 +118,19 @@ func benchmarkHubPeriods(b *testing.B, shards int) {
 			y[i][ra] = float64(i) * 0.25
 		}
 	}
+	all := make([]int, ras)
+	for ra := range all {
+		all[ra] = ra
+	}
+	out := make([]Envelope, ras)
+	got := make([]bool, ras)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if err := h.Broadcast(n, z, y); err != nil {
+		if err := h.BroadcastTo(n, z, y, all); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := h.Collect(n, 60*time.Second); err != nil {
+		clear(got)
+		if _, err := h.CollectReportsInto(n, 60*time.Second, out, got); err != nil {
 			b.Fatal(err)
 		}
 	}

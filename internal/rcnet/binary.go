@@ -18,9 +18,8 @@ import (
 // present, zero-count slices decode as nil — so encode/decode is a single
 // linear pass with no reflection, no field names on the wire, and no
 // per-frame heap traffic beyond the decoded slices themselves. A 1,000-RA
-// coordinator spends most of its period budget on frame encode/decode;
-// this codec is the cheap half of the scaling story (sharding is the
-// other), and BenchmarkEnvelopeRoundTrip tracks both codecs.
+// coordinator spends most of its period budget on frame encode/decode,
+// which this codec cuts; BenchmarkEnvelopeRoundTrip tracks both codecs.
 //
 // The magic byte cannot open a JSON frame ('{' = 0x7B), which is what lets
 // a reader detect the codec per frame and the hub serve mixed fleets.
@@ -139,10 +138,11 @@ func putFloatRows(buf *bytes.Buffer, rows [][]float64) {
 	}
 }
 
-// readBinary reads one binary frame after the magic byte was peeked. The
-// payload is read into the reader's reusable scratch buffer; decoded
-// slices are freshly allocated because the Envelope outlives the buffer.
-func (mr *msgReader) readBinary() (Envelope, error) {
+// readBinary reads one binary frame after the magic byte was peeked,
+// rejecting a payload longer than limit before buffering it. The payload
+// is read into the reader's reusable scratch buffer; decoded slices are
+// freshly allocated because the Envelope outlives the buffer.
+func (mr *msgReader) readBinary(limit int) (Envelope, error) {
 	var hdr [binHeaderLen]byte
 	if _, err := io.ReadFull(mr.br, hdr[:]); err != nil {
 		return Envelope{}, err
@@ -155,8 +155,8 @@ func (mr *msgReader) readBinary() (Envelope, error) {
 		return Envelope{}, fmt.Errorf("rcnet: malformed frame: unknown kind %d", kind)
 	}
 	n := binary.LittleEndian.Uint32(hdr[2:])
-	if n > maxLineBytes {
-		return Envelope{}, fmt.Errorf("rcnet: frame too large (>%d bytes)", maxLineBytes)
+	if uint64(n) > uint64(limit) {
+		return Envelope{}, fmt.Errorf("rcnet: frame too large (>%d bytes)", limit)
 	}
 	if cap(mr.buf) < int(n) {
 		mr.buf = make([]byte, n)

@@ -1,9 +1,11 @@
 package rcnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -50,25 +52,25 @@ func TestReRegistrationSupersedes(t *testing.T) {
 	waitFor(t, "supersede", func() bool { return h.Stats().Superseded >= 1 })
 
 	// The stale connection was closed by the hub.
-	if _, _, _, err := c1.RecvCoordination(testTimeout); err == nil {
+	if _, _, _, err := recvCoordination(c1, testTimeout); err == nil {
 		t.Error("superseded connection should be closed, not served")
 	}
 	// The new connection serves a full round.
 	grid := [][]float64{{0}}
-	if err := h.Broadcast(0, grid, grid); err != nil {
+	if err := broadcastAll(h, 0, grid, grid); err != nil {
 		t.Fatal(err)
 	}
-	p, _, _, err := c2.RecvCoordination(testTimeout)
+	p, _, _, err := recvCoordination(c2, testTimeout)
 	if err != nil {
 		t.Fatalf("re-registered agent got no coordination: %v", err)
 	}
 	if p != 0 {
 		t.Fatalf("period = %d, want 0", p)
 	}
-	if err := c2.ReportPerf(0, []float64{-7}, nil); err != nil {
+	if err := c2.Report(0, []float64{-7}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	perf, err := collectPerf(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestRedialChurnRecovers(t *testing.T) {
 	}
 	churnDeadline := time.Now().Add(250 * time.Millisecond)
 	for time.Now().Before(churnDeadline) {
-		_ = h.Broadcast(0, grid, grid) // races with churn by design; errors expected
+		_ = broadcastAll(h, 0, grid, grid) // races with churn by design; errors expected
 		_, _, _ = h.Liveness()
 		_ = h.Stats()
 		time.Sleep(time.Millisecond)
@@ -142,8 +144,8 @@ func TestRedialChurnRecovers(t *testing.T) {
 				// The broadcast may land on a conn a stale registration is
 				// about to supersede, so a recv timeout just means "try the
 				// round again"; only a real conn error warrants a redial.
-				_ = h.Broadcast(9, grid, grid)
-				p, _, _, err := c.RecvCoordination(200 * time.Millisecond)
+				_ = broadcastAll(h, 9, grid, grid)
+				p, _, _, err := recvCoordination(c, 200*time.Millisecond)
 				if err != nil {
 					var nerr net.Error
 					if errors.As(err, &nerr) && nerr.Timeout() {
@@ -154,10 +156,10 @@ func TestRedialChurnRecovers(t *testing.T) {
 				if p != 9 {
 					continue
 				}
-				if err := c.ReportPerf(9, []float64{-9}, nil); err != nil {
+				if err := c.Report(9, []float64{-9}, nil, nil); err != nil {
 					return false
 				}
-				perf, err := h.Collect(9, testTimeout)
+				perf, err := collectPerf(h, 9, testTimeout)
 				if err != nil {
 					return false
 				}
@@ -223,10 +225,10 @@ func TestDialAgentClearsHandshakeDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond) // well past the handshake deadline
-	if err := c.ReportPerf(0, []float64{1}, nil); err != nil {
+	if err := c.Report(0, []float64{1}, nil, nil); err != nil {
 		t.Fatalf("report after an idle stretch: %v (stale handshake write deadline?)", err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	perf, err := collectPerf(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestHeartbeatKeepsAgentLiveSilentOneReaped(t *testing.T) {
 	if err := h.BroadcastTo(0, z, z, []int{0}); err != nil {
 		t.Fatalf("broadcast to the surviving RA: %v", err)
 	}
-	if p, _, _, err := c0.RecvCoordination(testTimeout); err != nil || p != 0 {
+	if p, _, _, err := recvCoordination(c0, testTimeout); err != nil || p != 0 {
 		t.Fatalf("surviving RA recv: period=%d err=%v", p, err)
 	}
 }
@@ -350,10 +352,10 @@ func TestResumeCatchUpReplay(t *testing.T) {
 	if err := h.WaitRegistered(testTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Broadcast(donePeriods, grid(col(donePeriods, -40)), grid(col(donePeriods, 0))); err != nil {
+	if err := broadcastAll(h, donePeriods, grid(col(donePeriods, -40)), grid(col(donePeriods, 0))); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := h.CollectReports(donePeriods, testTimeout)
+	reports, err := collectReports(h, donePeriods, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +404,7 @@ func TestCollectKeepsPartialProgressAcrossAttempts(t *testing.T) {
 	}
 
 	// RA 0 reports promptly; RA 1 stays silent past the first attempt.
-	if err := c0.ReportPerf(0, []float64{-1}, nil); err != nil {
+	if err := c0.Report(0, []float64{-1}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Envelope, 2)
@@ -421,14 +423,14 @@ func TestCollectKeepsPartialProgressAcrossAttempts(t *testing.T) {
 	// Second attempt: RA 0's duplicate re-report (what a retried broadcast
 	// triggers) and a stale-period report must both be dropped, then RA 1's
 	// report completes the set.
-	if err := c0.ReportPerf(0, []float64{-99}, nil); err != nil {
+	if err := c0.Report(0, []float64{-99}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c0.ReportPerf(7, []float64{-77}, nil); err != nil {
+	if err := c0.Report(7, []float64{-77}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let both frames queue ahead of RA 1's
-	if err := c1.ReportPerf(0, []float64{-2}, nil); err != nil {
+	if err := c1.Report(0, []float64{-2}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	n, err = h.CollectReportsInto(0, testTimeout, out, got)
@@ -474,5 +476,75 @@ func TestPrimeResumeValidation(t *testing.T) {
 	}
 	if err := h.PrimeResume(1, okGrid, okGrid); err == nil {
 		t.Error("priming after an agent registered should be rejected")
+	}
+}
+
+// TestRegisterFrameBudget bounds what unregistered peers can pin: 32 peers
+// that each send only a binary header announcing a 4 MB register frame
+// must be closed at once, well inside the register deadline, without the
+// hub buffering the announced frames.
+func TestRegisterFrameBudget(t *testing.T) {
+	const peers = 32
+	h, err := NewHub("127.0.0.1:0", 1, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = h.Shutdown() }()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	hdr := [binHeaderLen]byte{binMagic, kindRegister}
+	binary.LittleEndian.PutUint32(hdr[2:], maxLineBytes)
+	conns := make([]net.Conn, peers)
+	for k := range conns {
+		conn, err := net.Dial("tcp", h.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		conns[k] = conn
+	}
+	closeBy := time.Now().Add(registerTimeout / 2)
+	open := 0
+	for _, conn := range conns {
+		_ = conn.SetReadDeadline(closeBy)
+		if _, err := conn.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			open++
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if open > 0 {
+		t.Errorf("%d/%d over-budget peers still connected after %v", open, peers, registerTimeout/2)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 4<<20 {
+		t.Errorf("%d header-only peers grew the live heap by %d bytes, want < 4 MB", peers, grown)
+	}
+	if _, reg, _ := h.Liveness(); reg != 0 {
+		t.Errorf("%d RAs registered, want 0", reg)
+	}
+}
+
+// TestSilentPeerClosedWithoutLiveness pins the register deadline: a peer
+// that connects and never sends its register frame is closed even though
+// liveness reaping (SetLiveness) is off.
+func TestSilentPeerClosedWithoutLiveness(t *testing.T) {
+	h, err := NewHub("127.0.0.1:0", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = h.Shutdown() }()
+	conn, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(registerTimeout + testTimeout))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+		t.Fatalf("silent peer not closed by the hub within %v (read err %v)", registerTimeout+testTimeout, err)
 	}
 }

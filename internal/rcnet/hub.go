@@ -16,11 +16,10 @@ import (
 // peer and drives the liveness reaper. The frame writer carries the codec
 // the peer registered with (JSON until the register frame says otherwise).
 type connState struct {
-	conn       net.Conn
-	wmu        sync.Mutex
-	mw         *msgWriter
-	lastSeen   atomic.Int64 // monotonic-ish unix nanos of the last frame read
-	registered atomic.Bool  // installed into a shard's conn table
+	conn     net.Conn
+	wmu      sync.Mutex
+	mw       *msgWriter
+	lastSeen atomic.Int64 // monotonic-ish unix nanos of the last frame read
 }
 
 // send writes one frame under the connection's write mutex with a write
@@ -47,20 +46,21 @@ func (st *connState) setCodec(c Codec) {
 // broadcasts coordinating information, and collects per-period performance
 // reports.
 //
-// Internally the hub is sharded (NewShardedHub): each shard owns a fixed
-// contiguous RA range with its own mutex, connection table, coordination
-// log, liveness reaper, and broadcast-writer pool, so period broadcast and
-// report collection run in parallel across shards. The root hub owns the
-// listener, demultiplexes registrations to shards, and merges per-shard
-// results in fixed RA order — History, monitor series, and residuals are
-// bit-identical for any shard count. NewHub builds the single-shard hub.
+// The hub keeps one RA-indexed connection table under one mutex, one
+// coordination log of full (Z, Y) grids for resume frames, one report
+// channel that every connection reader feeds, and one small pool of
+// broadcast-writer goroutines.
 //
-// Writes to agents are bounded: Broadcast and Shutdown apply a write
-// deadline (SetWriteTimeout, default 5s) and never hold a hub or shard
-// lock across a network write, so one stalled agent cannot head-of-line
-// block the round for healthy RAs or deadlock dropConn/Shutdown. A
-// connection that misses its write deadline is dropped; the agent must
-// re-register.
+// Writes to agents are bounded: BroadcastTo and Shutdown apply a write
+// deadline (SetWriteTimeout, default 5s) and never hold the hub lock
+// across a network write, so one stalled agent cannot head-of-line block
+// the round for healthy RAs or deadlock dropConn/Shutdown. A connection
+// that misses its write deadline is dropped; the agent must re-register.
+//
+// Unregistered peers are bounded too: the register frame must arrive
+// within registerTimeout and fit in maxRegisterBytes, so a peer that
+// connects and stalls, or announces a huge first frame, is closed before
+// it can pin memory.
 //
 // The hub survives agent churn: a re-registering RA supersedes its stale
 // connection (the old conn is closed, the new one installed) and receives
@@ -76,21 +76,28 @@ type Hub struct {
 
 	writeTimeout time.Duration
 
-	shards []*hubShard
+	// mu guards every field below up to the report channel.
+	mu           sync.Mutex
+	live         map[net.Conn]*connState // every accepted conn, registered or not
+	conns        []*connState            // registered conn per RA (nil: none)
+	seenRAs      []bool                  // RAs that registered at least once
+	lastReported []int                   // last period each RA reported (-1: none)
+	zLog, yLog   [][][]float64           // [period][slice][ra] coordination grids
+	completed    int                     // periods fully completed (FinishPeriod)
+	shutdown     bool
+	liveTimeout  time.Duration // 0: liveness reaping disabled
 
-	// mu guards the pre-registration state: every accepted conn (so
-	// Shutdown can close peers stalled mid-register), the shutdown flag, and
-	// the liveness timeout. Registered-RA state lives in the shards, each
-	// under its own lock. Lock order is always mu before a shard's mu.
-	mu          sync.Mutex
-	live        map[net.Conn]*connState
-	shutdown    bool
-	liveTimeout time.Duration // 0: liveness reaping disabled
+	// reports carries perf reports from the connection readers to
+	// CollectReportsInto; bcast carries broadcast jobs to the writer pool.
+	// Both have capacity numRAs — one in-flight frame per RA — so readers
+	// never block a collect and enqueues never block a broadcast.
+	reports chan Envelope
+	bcast   chan bcastJob
 
 	// bcastMu serializes broadcast enqueues against Shutdown closing the
-	// shard writer pools: producers hold it shared while enqueueing,
-	// Shutdown holds it exclusively while closing the queues, so a job is
-	// either fully enqueued before the close (and drained by the pool) or
+	// writer pool: producers hold it shared while enqueueing, Shutdown
+	// holds it exclusively while closing the queue, so a job is either
+	// fully enqueued before the close (and drained by the pool) or
 	// rejected with errHubClosed — never stranded.
 	bcastMu     sync.RWMutex
 	bcastClosed bool
@@ -107,25 +114,39 @@ type Hub struct {
 	closeOnce  sync.Once
 }
 
-// NewHub listens on addr (e.g. "127.0.0.1:0") for numRAs agents managing
-// numSlices slices each, with a single shard — the compatibility shape.
-func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
-	return NewShardedHub(addr, numSlices, numRAs, 1)
+// bcastJob is one RA's coordination send, executed by a pool writer. The
+// worker builds the RA's column from the shared read-only grids, writes it
+// deadline-bounded, stores any failure in the caller's slot, and signals
+// the caller's WaitGroup.
+type bcastJob struct {
+	st     *connState
+	ra     int
+	period int
+	z, y   [][]float64 // full [slice][ra] grids, read-only
+	err    *error      // caller's per-RA error slot (exactly one writer)
+	wg     *sync.WaitGroup
 }
 
-// NewShardedHub listens on addr for numRAs agents managing numSlices
-// slices each, splitting the RA space across shards contiguous ranges
-// (sizes differing by at most one). Shard counts above numRAs are clamped;
-// any shard count produces bit-identical runs.
-func NewShardedHub(addr string, numSlices, numRAs, shards int) (*Hub, error) {
+// broadcastWriters is the size of the broadcast-writer pool, capped by the
+// RA count.
+const broadcastWriters = 4
+
+// defaultWriteTimeout bounds how long a BroadcastTo or Shutdown write may
+// block on one agent's connection before the hub drops it.
+const defaultWriteTimeout = 5 * time.Second
+
+// registerTimeout bounds how long an accepted connection may take to
+// deliver its register frame. Agents write it right after connecting, so
+// it only ever fires for peers that connect and stall.
+const registerTimeout = 3 * time.Second
+
+var errHubClosed = errors.New("rcnet: hub closed")
+
+// NewHub listens on addr (e.g. "127.0.0.1:0") for numRAs agents managing
+// numSlices slices each.
+func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
 	if numSlices <= 0 || numRAs <= 0 {
 		return nil, fmt.Errorf("rcnet: invalid hub dims slices=%d ras=%d", numSlices, numRAs)
-	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("rcnet: invalid shard count %d", shards)
-	}
-	if shards > numRAs {
-		shards = numRAs
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -137,48 +158,24 @@ func NewShardedHub(addr string, numSlices, numRAs, shards int) (*Hub, error) {
 		numRAs:       numRAs,
 		writeTimeout: defaultWriteTimeout,
 		live:         make(map[net.Conn]*connState, numRAs),
+		conns:        make([]*connState, numRAs),
+		seenRAs:      make([]bool, numRAs),
+		lastReported: make([]int, numRAs),
+		reports:      make(chan Envelope, numRAs),
+		bcast:        make(chan bcastJob, numRAs),
 		registered:   make(chan int, numRAs),
 		closed:       make(chan struct{}),
 	}
-	h.shards = make([]*hubShard, shards)
-	for s := 0; s < shards; s++ {
-		h.shards[s] = newShard(h, s, h.shardLo(s), h.shardLo(s+1))
+	for ra := range h.lastReported {
+		h.lastReported[ra] = -1
+	}
+	for w := 0; w < min(broadcastWriters, numRAs); w++ {
+		h.poolWG.Add(1)
+		go h.broadcastWorker()
 	}
 	h.acceptWG.Add(1)
 	go h.acceptLoop()
 	return h, nil
-}
-
-// defaultWriteTimeout bounds how long a Broadcast or Shutdown write may
-// block on one agent's connection before the hub drops it.
-const defaultWriteTimeout = 5 * time.Second
-
-// Collection sentinels, turned into caller-facing errors by the root hub
-// after all shard collectors return.
-var (
-	errCollectTimeout = errors.New("rcnet: collect timeout")
-	errHubClosed      = errors.New("rcnet: hub closed")
-)
-
-// shardLo returns the first RA of shard s: the leading numRAs%shards
-// shards get one extra RA, keeping ranges contiguous and balanced.
-func (h *Hub) shardLo(s int) int {
-	n, k := h.numRAs, len(h.shards)
-	base, rem := n/k, n%k
-	if s <= rem {
-		return s * (base + 1)
-	}
-	return rem*(base+1) + (s-rem)*base
-}
-
-// shardFor returns the shard owning RA ra.
-func (h *Hub) shardFor(ra int) *hubShard {
-	n, k := h.numRAs, len(h.shards)
-	base, rem := n/k, n%k
-	if ra < rem*(base+1) {
-		return h.shards[ra/(base+1)]
-	}
-	return h.shards[rem+(ra-rem*(base+1))/base]
 }
 
 // Addr returns the listening address (useful with port 0).
@@ -190,24 +187,20 @@ func (h *Hub) NumSlices() int { return h.numSlices }
 // NumRAs returns the number of agents the hub coordinates.
 func (h *Hub) NumRAs() int { return h.numRAs }
 
-// NumShards returns the hub's shard count.
-func (h *Hub) NumShards() int { return len(h.shards) }
-
 // SetWriteTimeout overrides the per-connection write deadline used by
-// Broadcast and Shutdown (0 or negative disables it). Call before the
+// BroadcastTo and Shutdown (0 or negative disables it). Call before the
 // orchestration loop starts; it is not safe to change concurrently with
-// Broadcast.
+// BroadcastTo.
 func (h *Hub) SetWriteTimeout(d time.Duration) { h.writeTimeout = d }
 
 // SetLiveness enables proactive liveness reaping: a connection that
 // delivers no frame (reports or heartbeats) for longer than timeout is
 // closed, which drives the normal drop/re-register path immediately
 // instead of waiting for the next broadcast to hit its write deadline.
-// Each shard reaps its own registered conns; the root reaps conns stalled
-// before registration. Only enable it when the agents send heartbeats
-// (AgentClient StartHeartbeat) at a comfortably shorter interval — an
-// agent that is silently computing a long period would otherwise be
-// reaped mid-work. Call before agents connect; idempotent per hub.
+// Only enable it when the agents send heartbeats (AgentClient
+// StartHeartbeat) at a comfortably shorter interval — an agent that is
+// silently computing a long period would otherwise be reaped mid-work.
+// Call before agents connect; idempotent per hub.
 func (h *Hub) SetLiveness(timeout time.Duration) {
 	if timeout <= 0 {
 		return
@@ -219,10 +212,6 @@ func (h *Hub) SetLiveness(timeout time.Duration) {
 	if start {
 		h.reaperWG.Add(1)
 		go h.reapLoop(timeout)
-		for _, sh := range h.shards {
-			h.reaperWG.Add(1)
-			go sh.reapLoop(timeout)
-		}
 	}
 }
 
@@ -233,29 +222,22 @@ func (h *Hub) SetLiveness(timeout time.Duration) {
 func (h *Hub) Liveness() (liveRAs, registeredRAs, expected int) {
 	now := time.Now().UnixNano()
 	h.mu.Lock()
-	liveTimeout := h.liveTimeout
-	h.mu.Unlock()
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		registeredRAs += len(sh.conns)
-		if liveTimeout > 0 {
-			for _, st := range sh.conns {
-				if now-st.lastSeen.Load() <= int64(liveTimeout) {
-					liveRAs++
-				}
-			}
+	defer h.mu.Unlock()
+	for _, st := range h.conns {
+		if st == nil {
+			continue
 		}
-		sh.mu.Unlock()
-	}
-	if liveTimeout <= 0 {
-		liveRAs = registeredRAs
+		registeredRAs++
+		if h.liveTimeout <= 0 || now-st.lastSeen.Load() <= int64(h.liveTimeout) {
+			liveRAs++
+		}
 	}
 	return liveRAs, registeredRAs, h.numRAs
 }
 
-// reapLoop is the root reaper: it covers connections stalled before
-// registration (shard reapers cover registered conns, each under its own
-// lock).
+// reapLoop periodically closes connections whose peers went silent,
+// registered or not. The scan interval divides the liveness timeout so a
+// dead conn is reaped at most ~1.25 timeouts after its last frame.
 func (h *Hub) reapLoop(timeout time.Duration) {
 	defer h.reaperWG.Done()
 	interval := timeout / 4
@@ -274,14 +256,14 @@ func (h *Hub) reapLoop(timeout time.Duration) {
 	}
 }
 
-// reapOnce collects the silent pre-registration connections under the lock
-// and closes them outside it; closing unblocks each conn's reader
-// goroutine, which abandons the handshake.
+// reapOnce collects the silent connections under the lock and closes them
+// outside it; closing unblocks each conn's reader goroutine, which runs
+// the usual dropConn path (or abandons the handshake).
 func (h *Hub) reapOnce(now int64, timeout time.Duration) {
 	h.mu.Lock()
 	var victims []*connState
 	for _, st := range h.live {
-		if !st.registered.Load() && now-st.lastSeen.Load() > int64(timeout) {
+		if now-st.lastSeen.Load() > int64(timeout) {
 			victims = append(victims, st)
 		}
 	}
@@ -305,8 +287,8 @@ func (h *Hub) acceptLoop() {
 }
 
 // handleConn performs registration — detecting the peer's codec from its
-// register frame and routing the conn to the shard owning its RA — then
-// pumps reports into the shard's collect channel.
+// register frame and installing the conn in its RA's slot — then pumps
+// the conn's reports into the hub's report channel.
 func (h *Hub) handleConn(conn net.Conn) {
 	defer h.readerWG.Done()
 	st := &connState{conn: conn, mw: newMsgWriter(conn, CodecJSON, &h.wire)}
@@ -327,18 +309,20 @@ func (h *Hub) handleConn(conn net.Conn) {
 		h.mu.Unlock()
 	}()
 	mr := newMsgReader(conn, &h.wire)
-	msg, err := mr.read()
+	_ = conn.SetReadDeadline(time.Now().Add(registerTimeout))
+	msg, err := mr.readMax(maxRegisterBytes)
 	if err != nil || msg.Type != MsgRegister || msg.RA < 0 || msg.RA >= h.numRAs {
 		_ = conn.Close()
 		return
 	}
+	_ = conn.SetReadDeadline(time.Time{})
+	ra := msg.RA
 	st.lastSeen.Store(time.Now().UnixNano())
 	// The register frame's codec decides how the hub answers this
 	// connection; JSON peers that never heard of the binary codec keep
 	// working unchanged.
 	st.setCodec(mr.lastCodec)
 	h.stats.regsByCodec[mr.lastCodec].Add(1)
-	sh := h.shardFor(msg.RA)
 
 	// Registration is a two-step handshake so the resume frame is on the
 	// wire before the conn becomes broadcastable: (1) snapshot the catch-up
@@ -349,9 +333,9 @@ func (h *Hub) handleConn(conn net.Conn) {
 	// the ordering, the executor could broadcast the in-flight period to
 	// the new conn before its resume frame, and the agent would step it
 	// against an un-replayed environment.
-	sh.mu.Lock()
-	resume := sh.resumeFrameLocked(msg.RA)
-	sh.mu.Unlock()
+	h.mu.Lock()
+	resume := h.resumeFrameLocked(ra)
+	h.mu.Unlock()
 	if resume.Period > 0 {
 		if err := st.send(resume, h.writeTimeout); err != nil {
 			_ = conn.Close()
@@ -360,29 +344,20 @@ func (h *Hub) handleConn(conn net.Conn) {
 		h.stats.resumesSent.Add(1)
 	}
 	h.mu.Lock()
-	if h.shutdown {
+	if h.shutdown || h.resumePeriodLocked(ra) != resume.Period {
 		h.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	sh.mu.Lock()
-	if again := sh.resumeFrameLocked(msg.RA); again.Period != resume.Period {
-		sh.mu.Unlock()
-		h.mu.Unlock()
-		_ = conn.Close() // raced with a period completing; agent must redial
+		_ = conn.Close() // shut down, or raced with a period completing: the agent must redial
 		return
 	}
 	// Re-registration supersedes: the stale conn (a half-dead socket the
 	// hub has not noticed yet) is replaced immediately instead of locking
 	// the returning agent out until the next broadcast write timeout.
-	old := sh.conns[msg.RA]
-	sh.conns[msg.RA] = st
-	st.registered.Store(true)
-	reconnect := sh.seenRAs[msg.RA]
-	sh.seenRAs[msg.RA] = true
-	sh.mu.Unlock()
+	old := h.conns[ra]
+	h.conns[ra] = st
+	reconnect := h.seenRAs[ra]
+	h.seenRAs[ra] = true
 	h.mu.Unlock()
-	if old != nil && old.conn != conn {
+	if old != nil {
 		h.stats.superseded.Add(1)
 		_ = old.conn.Close()
 	}
@@ -396,46 +371,45 @@ func (h *Hub) handleConn(conn net.Conn) {
 	// would park this goroutine before its read loop starts, leaving the
 	// reconnected agent permanently unserved (and the goroutine leaked).
 	// The channel is only a wakeup signal — WaitRegistered recounts the
-	// shard tables itself — so on a full channel the oldest entry is
+	// conn table itself — so on a full channel the oldest entry is
 	// dropped, and losing a notification merely delays the next recount.
 	select {
-	case h.registered <- msg.RA:
+	case h.registered <- ra:
 	default:
 		select {
 		case <-h.registered:
 		default:
 		}
 		select {
-		case h.registered <- msg.RA:
+		case h.registered <- ra:
 		default:
 		}
 	}
 	for {
 		m, err := mr.read()
 		if err != nil {
-			sh.dropConn(msg.RA, st)
+			h.dropConn(ra, st)
 			return
 		}
 		st.lastSeen.Store(time.Now().UnixNano())
 		switch m.Type {
 		case MsgPerfReport:
 			h.stats.reportsReceived.Add(1)
-			// Reports are routed by the shard that owns the conn; a report
-			// naming an RA outside this shard's range (a buggy or malicious
-			// peer) is dropped here, before it can race another shard's
-			// collect buffers.
-			if m.RA < sh.lo || m.RA >= sh.hi {
-				h.stats.wrongShard.Add(1)
+			// A conn reports for the RA it registered as and no other; a
+			// report naming another RA (a buggy or malicious peer) must
+			// not fill that RA's collect slot.
+			if m.RA != ra {
+				h.stats.foreignRA.Add(1)
 				h.stats.reportsDropped.Add(1)
 				continue
 			}
-			sh.mu.Lock()
-			if last, ok := sh.lastReported[m.RA]; !ok || m.Period > last {
-				sh.lastReported[m.RA] = m.Period
+			h.mu.Lock()
+			if m.Period > h.lastReported[ra] {
+				h.lastReported[ra] = m.Period
 			}
-			sh.mu.Unlock()
+			h.mu.Unlock()
 			select {
-			case sh.reports <- m:
+			case h.reports <- m:
 			case <-h.closed:
 				return
 			}
@@ -447,10 +421,68 @@ func (h *Hub) handleConn(conn net.Conn) {
 	}
 }
 
+// dropConn removes st from the conn table if it is still the RA's current
+// connection, then closes it.
+func (h *Hub) dropConn(ra int, st *connState) {
+	h.mu.Lock()
+	dropped := h.conns[ra] == st
+	if dropped {
+		h.conns[ra] = nil
+	}
+	h.mu.Unlock()
+	if dropped {
+		h.stats.connsDropped.Add(1)
+	}
+	_ = st.conn.Close()
+}
+
+// resumePeriodLocked returns the first period RA ra must execute live: the
+// completed prefix, extended through the RA's last collected report (a
+// re-registering RA whose report for the in-flight period was already
+// collected must replay that period too, since the executor will not
+// re-broadcast it), never past the periods the log holds.
+func (h *Hub) resumePeriodLocked(ra int) int {
+	return min(max(h.completed, h.lastReported[ra]+1), len(h.zLog))
+}
+
+// resumeFrameLocked builds RA ra's catch-up frame from the coordination
+// log: the first period it must execute live and its coordination columns
+// for every earlier period.
+func (h *Hub) resumeFrameLocked(ra int) Envelope {
+	catchUp := h.resumePeriodLocked(ra)
+	e := Envelope{Type: MsgResume, RA: ra, Period: catchUp}
+	if catchUp > 0 {
+		e.ZHist = make([][]float64, catchUp)
+		e.YHist = make([][]float64, catchUp)
+		for p := 0; p < catchUp; p++ {
+			e.ZHist[p] = column(h.zLog[p], ra)
+			e.YHist[p] = column(h.yLog[p], ra)
+		}
+	}
+	return e
+}
+
+// column copies RA ra's column out of a [slice][ra] grid.
+func column(g [][]float64, ra int) []float64 {
+	col := make([]float64, len(g))
+	for i, row := range g {
+		col[i] = row[ra]
+	}
+	return col
+}
+
+// copyGrid snapshots a [slice][ra] grid.
+func copyGrid(g [][]float64) [][]float64 {
+	out := make([][]float64, len(g))
+	for i, row := range g {
+		out[i] = append([]float64(nil), row...)
+	}
+	return out
+}
+
 // WaitRegistered blocks until every RA is simultaneously registered or the
-// timeout expires. The shard registration tables are the ground truth; the
-// channel (plus a coarse ticker, in case a wakeup was dropped) only paces
-// the recounts.
+// timeout expires. The conn table is the ground truth; the channel (plus a
+// coarse ticker, in case a wakeup was dropped) only paces the recounts.
 func (h *Hub) WaitRegistered(timeout time.Duration) error {
 	return h.waitRegistered(timeout, nil)
 }
@@ -473,22 +505,21 @@ func (h *Hub) waitRegistered(timeout time.Duration, ras []int) error {
 		want = len(ras)
 	}
 	count := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
 		n := 0
 		if ras == nil {
-			for _, sh := range h.shards {
-				sh.mu.Lock()
-				n += len(sh.conns)
-				sh.mu.Unlock()
+			for _, st := range h.conns {
+				if st != nil {
+					n++
+				}
 			}
 			return n
 		}
 		for _, ra := range ras {
-			sh := h.shardFor(ra)
-			sh.mu.Lock()
-			if _, ok := sh.conns[ra]; ok {
+			if h.conns[ra] != nil {
 				n++
 			}
-			sh.mu.Unlock()
 		}
 		return n
 	}
@@ -520,13 +551,9 @@ func (h *Hub) waitRegistered(timeout time.Duration, ras []int) error {
 // ADMM-updated): re-registering agents must replay through it. The remote
 // execution engine calls it after every period.
 func (h *Hub) FinishPeriod(p int) {
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		if p+1 > sh.completed {
-			sh.completed = p + 1
-		}
-		sh.mu.Unlock()
-	}
+	h.mu.Lock()
+	h.completed = max(h.completed, p+1)
+	h.mu.Unlock()
 }
 
 // PrimeResume seeds the hub with the coordination history of a previous
@@ -548,67 +575,40 @@ func (h *Hub) PrimeResume(periods int, zs, ys [][][]float64) error {
 			}
 		}
 	}
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		if len(sh.seenRAs) > 0 {
-			sh.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, seen := range h.seenRAs {
+		if seen {
 			return errors.New("rcnet: prime resume after an agent registered; prime immediately after NewHub")
 		}
-		if sh.completed != 0 || len(sh.zLog) != 0 {
-			sh.mu.Unlock()
-			return errors.New("rcnet: hub already holds coordination history")
-		}
-		sh.completed = periods
-		sh.zLog = make([][][]float64, periods)
-		sh.yLog = make([][][]float64, periods)
-		for p := 0; p < periods; p++ {
-			sh.zLog[p] = copyCols(zs[p], sh.lo, sh.hi)
-			sh.yLog[p] = copyCols(ys[p], sh.lo, sh.hi)
-		}
-		sh.mu.Unlock()
+	}
+	if h.completed != 0 || len(h.zLog) != 0 {
+		return errors.New("rcnet: hub already holds coordination history")
+	}
+	h.completed = periods
+	h.zLog = make([][][]float64, periods)
+	h.yLog = make([][][]float64, periods)
+	for p := 0; p < periods; p++ {
+		h.zLog[p] = copyGrid(zs[p])
+		h.yLog[p] = copyGrid(ys[p])
 	}
 	return nil
 }
 
-// Broadcast sends each RA its coordination column for the period. z and y
-// are [slice][ra] grids.
+// BroadcastTo sends the period's coordination columns to the given RAs;
+// z and y are [slice][ra] grids. The retry path re-broadcasts an in-flight
+// period only to the RAs whose reports are still missing, so agents that
+// already stepped it are never asked to step it twice.
 //
-// Connections are snapshotted under their shard's lock and written by the
-// shard writer pools outside it with a write deadline, so a stalled agent
-// delays the round by at most the write timeout, never blocks healthy
-// RAs' writes, and never wedges callers that need a hub lock (dropConn,
-// Shutdown). A connection that fails or times out is dropped and reported;
-// the remaining RAs still receive their coordination. Broadcast is
-// intended to be called from a single coordinator loop, not concurrently.
-func (h *Hub) Broadcast(period int, z, y [][]float64) error {
-	// Fail fast before writing anything when an RA is missing: a
-	// full-fleet round cannot complete without it, and healthy agents must
-	// not receive a round the caller will abandon.
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		for ra := sh.lo; ra < sh.hi; ra++ {
-			if _, ok := sh.conns[ra]; !ok {
-				sh.mu.Unlock()
-				return fmt.Errorf("rcnet: RA %d not connected", ra)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	ras := make([]int, h.numRAs)
-	for ra := range ras {
-		ras[ra] = ra
-	}
-	return h.BroadcastTo(period, z, y, ras)
-}
-
-// BroadcastTo sends the period's coordination columns to a subset of RAs —
-// the retry path re-broadcasts an in-flight period only to the RAs whose
-// reports are still missing, so agents that already stepped it are never
-// asked to step it twice. The sends are fanned out to the shard writer
-// pools and run in parallel across shards. An RA that is not currently
-// registered, or whose write fails, contributes to the returned error
-// (first in ras order, for determinism); the others still receive their
-// columns.
+// Connections are snapshotted under the hub lock and written by the
+// writer pool outside it with a write deadline, so a stalled agent delays
+// the round by at most the write timeout, never blocks healthy RAs'
+// writes, and never wedges callers that need the hub lock (dropConn,
+// Shutdown). An RA that is not currently registered, or whose write fails
+// or times out (its conn is then dropped), contributes to the returned
+// error (first in ras order, for determinism); the others still receive
+// their columns. BroadcastTo is intended to be called from a single
+// coordinator loop, not concurrently.
 func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 	if len(z) != h.numSlices || len(y) != h.numSlices {
 		return fmt.Errorf("rcnet: coordination grids have %d/%d slices, want %d", len(z), len(y), h.numSlices)
@@ -618,22 +618,22 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 			return fmt.Errorf("rcnet: broadcast to invalid RA %d", ra)
 		}
 	}
-	for _, sh := range h.shards {
-		sh.recordCoordination(period, z, y)
-	}
 	states := make([]*connState, len(ras))
 	errs := make([]error, len(ras))
-	for k, ra := range ras {
-		sh := h.shardFor(ra)
-		sh.mu.Lock()
-		st, ok := sh.conns[ra]
-		sh.mu.Unlock()
-		if !ok {
-			errs[k] = fmt.Errorf("rcnet: RA %d not connected", ra)
-			continue
-		}
-		states[k] = st
+	h.mu.Lock()
+	// Remember the grids for later resume frames. Retried broadcasts of an
+	// already-recorded period are no-ops; a period's grids never change
+	// between attempts.
+	if period == len(h.zLog) {
+		h.zLog = append(h.zLog, copyGrid(z))
+		h.yLog = append(h.yLog, copyGrid(y))
 	}
+	for k, ra := range ras {
+		if states[k] = h.conns[ra]; states[k] == nil {
+			errs[k] = fmt.Errorf("rcnet: RA %d not connected", ra)
+		}
+	}
+	h.mu.Unlock()
 
 	var wg sync.WaitGroup
 	h.bcastMu.RLock()
@@ -646,8 +646,8 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 			continue
 		}
 		wg.Add(1)
-		//edgeslice:lockio the send cannot block: each shard's queue has capacity for one job per owned RA and a broadcast enqueues at most one job per RA, while bcastMu (held shared) pins the queue open
-		h.shardFor(ras[k]).bcast <- bcastJob{
+		//edgeslice:lockio the send cannot block: the queue has capacity for one job per RA and a broadcast enqueues at most one job per RA, while bcastMu (held shared) pins the queue open
+		h.bcast <- bcastJob{
 			st: st, ra: ras[k], period: period, z: z, y: y, err: &errs[k], wg: &wg,
 		}
 	}
@@ -661,88 +661,67 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 	return nil
 }
 
-// Collect waits for a perf report from every RA for the given period and
-// returns perf[i][j]. Reports for other periods are discarded.
-func (h *Hub) Collect(period int, timeout time.Duration) ([][]float64, error) {
-	reports, err := h.CollectReports(period, timeout)
-	if err != nil {
-		return nil, err
+// broadcastWorker drains the broadcast queue until Shutdown closes it;
+// range yields every job enqueued before the close, so no caller is left
+// waiting on an abandoned slot.
+func (h *Hub) broadcastWorker() {
+	defer h.poolWG.Done()
+	for job := range h.bcast {
+		h.runBroadcast(job)
 	}
-	perf := make([][]float64, h.numSlices)
-	for i := range perf {
-		perf[i] = make([]float64, h.numRAs)
-	}
-	for ra, m := range reports {
-		for i := 0; i < h.numSlices; i++ {
-			perf[i][ra] = m.Perf[i]
-		}
-	}
-	return perf, nil
 }
 
-// CollectReports waits for a perf report from every RA for the given period
-// and returns the full report envelopes indexed by RA — including the
-// per-interval records agents attach (see IntervalRecord). Reports for
-// other periods are discarded. The remote execution engine uses this to
-// rebuild the same History a local run records.
-func (h *Hub) CollectReports(period int, timeout time.Duration) ([]Envelope, error) {
-	out := make([]Envelope, h.numRAs)
-	got := make([]bool, h.numRAs)
-	if _, err := h.CollectReportsInto(period, timeout, out, got); err != nil {
-		return nil, err
+// runBroadcast sends one RA its coordination column. A failed or timed-out
+// write drops the connection so the next round fails fast instead of
+// stalling again.
+func (h *Hub) runBroadcast(job bcastJob) {
+	defer job.wg.Done()
+	e := Envelope{Type: MsgCoordination, Period: job.period, Z: column(job.z, job.ra), Y: column(job.y, job.ra)}
+	if err := job.st.send(e, h.writeTimeout); err != nil {
+		h.dropConn(job.ra, job.st)
+		*job.err = fmt.Errorf("rcnet: broadcast to RA %d: %w", job.ra, err)
 	}
-	return out, nil
 }
 
-// CollectReportsInto is the resumable form of CollectReports: out and got
-// persist partial progress across collection attempts, so a retried period
-// keeps the reports that already arrived and waits only for the missing
-// RAs. Each shard drains its own report channel into its disjoint slice of
-// the buffers, so collection runs in parallel across shards. It returns
-// how many RAs have reported in total (across this and previous attempts);
-// a nil error means all of them. Reports for other periods, duplicates,
-// and reports from out-of-range RAs are discarded and counted in the
-// stats.
+// CollectReportsInto waits for a perf report from every RA for the given
+// period and stores the full report envelopes — including the
+// per-interval records agents attach (see IntervalRecord) — in out,
+// indexed by RA. out and got persist partial progress across collection
+// attempts, so a retried period keeps the reports that already arrived and
+// waits only for the missing RAs. It returns how many RAs have reported in
+// total (across this and previous attempts); a nil error means all of
+// them. Reports for other periods and duplicates are discarded and counted
+// in the stats.
 func (h *Hub) CollectReportsInto(period int, timeout time.Duration, out []Envelope, got []bool) (int, error) {
 	if len(out) != h.numRAs || len(got) != h.numRAs {
 		return 0, fmt.Errorf("rcnet: collect buffers sized %d/%d, want %d", len(out), len(got), h.numRAs)
 	}
-	// One shared timeout signal: time.After delivers a single value, which
-	// would wake only one of the shard collectors, so the timer closes a
-	// channel every collector can observe.
-	timeoutC := make(chan struct{})
-	timer := time.AfterFunc(timeout, func() { close(timeoutC) })
-	defer timer.Stop()
-
-	ns := make([]int, len(h.shards))
-	errs := make([]error, len(h.shards))
-	var wg sync.WaitGroup
-	for s, sh := range h.shards {
-		wg.Add(1)
-		go func(s int, sh *hubShard) {
-			defer wg.Done()
-			ns[s], errs[s] = sh.collectInto(period, timeoutC, out, got)
-		}(s, sh)
-	}
-	wg.Wait()
 	n := 0
-	for _, c := range ns {
-		n += c
-	}
-	timedOut := false
-	for _, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, errCollectTimeout):
-			timedOut = true
-		case errors.Is(err, errHubClosed):
-			return n, errHubClosed
-		default:
-			return n, err // malformed report: first shard in index order
+	for _, g := range got {
+		if g {
+			n++
 		}
 	}
-	if timedOut {
-		return n, fmt.Errorf("rcnet: %d/%d reports for period %d before timeout", n, h.numRAs, period)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for n < h.numRAs {
+		select {
+		case m := <-h.reports:
+			if m.Period != period || got[m.RA] {
+				h.stats.reportsDropped.Add(1)
+				continue
+			}
+			if len(m.Perf) != h.numSlices {
+				return n, fmt.Errorf("rcnet: RA %d reported %d slices, want %d", m.RA, len(m.Perf), h.numSlices)
+			}
+			out[m.RA] = m
+			got[m.RA] = true
+			n++
+		case <-timer.C:
+			return n, fmt.Errorf("rcnet: %d/%d reports for period %d before timeout", n, h.numRAs, period)
+		case <-h.closed:
+			return n, errHubClosed
+		}
 	}
 	return n, nil
 }
@@ -752,20 +731,18 @@ func (h *Hub) CollectReportsInto(period int, timeout time.Duration, out []Envelo
 func (h *Hub) Shutdown() error {
 	var err error
 	h.closeOnce.Do(func() {
-		// Stop the broadcast pools first: after bcastClosed is set no new
-		// job can be enqueued, and closing the queues lets each worker
+		// Stop the broadcast pool first: after bcastClosed is set no new
+		// job can be enqueued, and closing the queue lets each worker
 		// drain what was enqueued before exiting, so no BroadcastTo caller
 		// is left waiting on a stranded job.
 		h.bcastMu.Lock()
 		h.bcastClosed = true
-		for _, sh := range h.shards {
-			close(sh.bcast)
-		}
+		close(h.bcast)
 		h.bcastMu.Unlock()
 		// Snapshot every live connection — including ones stalled before
 		// or mid-registration — so closing them unblocks every reader
-		// goroutine; otherwise readerWG.Wait below could hang forever on a
-		// peer that connected but never completed its register frame. The
+		// goroutine; otherwise readerWG.Wait below could hang on a peer
+		// that connected but never completed its register frame. The
 		// shutdown flag stops handleConn from tracking (and blocking on)
 		// conns accepted after this snapshot.
 		h.mu.Lock()
@@ -774,13 +751,9 @@ func (h *Hub) Shutdown() error {
 		for _, st := range h.live {
 			states = append(states, st)
 		}
+		clear(h.conns)
 		h.mu.Unlock()
-		for _, sh := range h.shards {
-			sh.mu.Lock()
-			sh.conns = make(map[int]*connState)
-			sh.mu.Unlock()
-		}
-		// Notify outside the locks with a write deadline: a stalled agent
+		// Notify outside the lock with a write deadline: a stalled agent
 		// must not be able to wedge shutdown.
 		for _, st := range states {
 			_ = st.send(Envelope{Type: MsgShutdown}, h.writeTimeout)

@@ -38,12 +38,11 @@
 // Both frame kinds are ignored by older peers, so mixed-version
 // deployments keep working.
 //
-// The plane scales horizontally: the hub is internally sharded
-// (NewShardedHub), each shard owning a fixed contiguous RA range with its
-// own lock, connection table, liveness reaper, and broadcast-writer pool,
-// so period broadcast and report collection proceed in parallel across
-// shards while the root hub merges results in fixed RA order — the merged
-// run is bit-identical for any shard count.
+// The hub is one RA-indexed connection table under one lock: a conn
+// reports only for the RA it registered as, broadcasts fan out through a
+// small writer pool, and one collector drains every report in arrival
+// order into RA-indexed buffers, so the remote engine's fixed-order merge
+// sees the same inputs however the reports interleave.
 package rcnet
 
 import (
@@ -90,7 +89,7 @@ type Envelope struct {
 	// orchestration interval, in order). Agents driven by RunAgent always
 	// include them; they let the coordinator side reconstruct the same
 	// History and monitor series a local run records. Absent in
-	// summary-only reports (ReportPerf), which the remote engine rejects.
+	// summary-only reports, which the remote engine rejects.
 	Intervals []IntervalRecord `json:"intervals,omitempty"`
 	// ZHist/YHist are only set on MsgResume frames: the RA's coordination
 	// columns for periods [0, Period), in period order, so a re-registered
@@ -148,6 +147,15 @@ func ParseCodec(s string) (Codec, error) {
 // per-interval records (T × slices × resources floats), so the bound is
 // sized for long periods on wide slice mixes with room to spare.
 const maxLineBytes = 4 << 20
+
+// maxRegisterBytes bounds the first frame of a connection, which must be a
+// register frame, and is checked before the frame is buffered, so a peer
+// that has not registered cannot make the hub allocate for a large frame.
+// The largest valid register frame is 36 payload bytes in the binary codec
+// (RA, Period, and seven empty slice counts) and 37 bytes in the JSON
+// codec ({"type":"register","ra":-2147483648} plus its newline); the rest
+// is slack for JSON whitespace and zero-valued fields.
+const maxRegisterBytes = 64
 
 // wireStats counts the traffic of one endpoint (a hub or an agent client),
 // updated lock-free from reader/writer paths.
@@ -229,29 +237,33 @@ func newMsgReader(conn net.Conn, stats *wireStats) *msgReader {
 }
 
 // read decodes the next frame, JSON or binary.
-func (mr *msgReader) read() (Envelope, error) {
+func (mr *msgReader) read() (Envelope, error) { return mr.readMax(maxLineBytes) }
+
+// readMax decodes the next frame, rejecting it once its JSON line or
+// binary payload exceeds limit bytes.
+func (mr *msgReader) readMax(limit int) (Envelope, error) {
 	first, err := mr.br.Peek(1)
 	if err != nil {
 		return Envelope{}, err
 	}
 	if first[0] == binMagic {
 		mr.lastCodec = CodecBinary
-		return mr.readBinary()
+		return mr.readBinary(limit)
 	}
 	mr.lastCodec = CodecJSON
-	return mr.readJSON()
+	return mr.readJSON(limit)
 }
 
 // readJSON reads one JSON line. The frame bound is enforced while reading —
-// accumulation stops the moment maxLineBytes is exceeded — so a peer that
-// streams an endless newline-free frame costs at most maxLineBytes of
+// accumulation stops the moment limit is exceeded — so a peer that
+// streams an endless newline-free frame costs at most limit bytes of
 // buffer, not unbounded memory.
-func (mr *msgReader) readJSON() (Envelope, error) {
+func (mr *msgReader) readJSON(limit int) (Envelope, error) {
 	line := mr.buf[:0]
 	for {
 		chunk, err := mr.br.ReadSlice('\n')
-		if len(line)+len(chunk) > maxLineBytes {
-			return Envelope{}, fmt.Errorf("rcnet: frame too large (>%d bytes)", maxLineBytes)
+		if len(line)+len(chunk) > limit {
+			return Envelope{}, fmt.Errorf("rcnet: frame too large (>%d bytes)", limit)
 		}
 		line = append(line, chunk...)
 		if err == nil {
@@ -275,19 +287,6 @@ func (mr *msgReader) count(n int, t MsgType) {
 		mr.stats.bytesIn.Add(uint64(n))
 		mr.stats.framesIn[msgKindOf(t)].Add(1)
 	}
-}
-
-// writeMsg sends one envelope as a JSON line — the package's historical
-// single-shot helper, kept for tests and legacy callers; hot paths hold a
-// msgWriter with a reusable buffer instead.
-func writeMsg(w io.Writer, e Envelope) error {
-	return newMsgWriter(w, CodecJSON, nil).write(e)
-}
-
-// readMsg reads one frame (either codec) — single-shot helper mirroring
-// writeMsg.
-func readMsg(br *bufio.Reader) (Envelope, error) {
-	return (&msgReader{br: br}).read()
 }
 
 // deadline applies a read/write deadline when timeout > 0.

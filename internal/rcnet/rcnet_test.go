@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -19,6 +20,69 @@ import (
 )
 
 const testTimeout = 5 * time.Second
+
+// broadcastAll sends the period's coordination to every RA of h.
+func broadcastAll(h *Hub, period int, z, y [][]float64) error {
+	ras := make([]int, h.NumRAs())
+	for ra := range ras {
+		ras[ra] = ra
+	}
+	return h.BroadcastTo(period, z, y, ras)
+}
+
+// collectReports waits for the period's report from every RA of h.
+func collectReports(h *Hub, period int, timeout time.Duration) ([]Envelope, error) {
+	out := make([]Envelope, h.NumRAs())
+	if _, err := h.CollectReportsInto(period, timeout, out, make([]bool, h.NumRAs())); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// collectPerf is collectReports reduced to the perf[slice][ra] grid.
+func collectPerf(h *Hub, period int, timeout time.Duration) ([][]float64, error) {
+	reports, err := collectReports(h, period, timeout)
+	if err != nil {
+		return nil, err
+	}
+	perf := make([][]float64, h.NumSlices())
+	for i := range perf {
+		perf[i] = make([]float64, h.NumRAs())
+		for ra, m := range reports {
+			perf[i][ra] = m.Perf[i]
+		}
+	}
+	return perf, nil
+}
+
+// writeMsg sends one envelope as a JSON line.
+func writeMsg(w io.Writer, e Envelope) error {
+	return newMsgWriter(w, CodecJSON, nil).write(e)
+}
+
+// readMsg reads one frame of either codec.
+func readMsg(br *bufio.Reader) (Envelope, error) {
+	return (&msgReader{br: br}).read()
+}
+
+var errShutdown = errors.New("hub shut down the session")
+
+// recvCoordination blocks for the next coordination frame, skipping resume
+// frames; a shutdown frame yields errShutdown.
+func recvCoordination(c *AgentClient, timeout time.Duration) (period int, z, y []float64, err error) {
+	for {
+		m, err := c.Recv(timeout)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		switch m.Type {
+		case MsgShutdown:
+			return 0, nil, nil, errShutdown
+		case MsgCoordination:
+			return m.Period, m.Z, m.Y, nil
+		}
+	}
+}
 
 func TestHubValidation(t *testing.T) {
 	if _, err := NewHub("127.0.0.1:0", 0, 1); err == nil {
@@ -51,7 +115,7 @@ func TestRegisterBroadcastCollect(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			period, z, y, err := c.RecvCoordination(testTimeout)
+			period, z, y, err := recvCoordination(c, testTimeout)
 			if err != nil {
 				t.Errorf("recv RA %d: %v", ra, err)
 				return
@@ -60,7 +124,7 @@ func TestRegisterBroadcastCollect(t *testing.T) {
 				t.Errorf("RA %d got period=%d z=%v y=%v", ra, period, z, y)
 				return
 			}
-			if err := c.ReportPerf(0, []float64{-1 - float64(ra), -2 - float64(ra)}, []int{0, 0}); err != nil {
+			if err := c.Report(0, []float64{-1 - float64(ra), -2 - float64(ra)}, []int{0, 0}, nil); err != nil {
 				t.Errorf("report RA %d: %v", ra, err)
 			}
 		}(ra)
@@ -71,10 +135,10 @@ func TestRegisterBroadcastCollect(t *testing.T) {
 	}
 	z := [][]float64{{0, 0}, {0, 0}}
 	y := [][]float64{{0, 0}, {0, 0}}
-	if err := h.Broadcast(0, z, y); err != nil {
+	if err := broadcastAll(h, 0, z, y); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	perf, err := collectPerf(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +181,10 @@ func TestCollectTimesOutOnSilentAgent(t *testing.T) {
 	if err := h.WaitRegistered(testTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Broadcast(0, [][]float64{{0}}, [][]float64{{0}}); err != nil {
+	if err := broadcastAll(h, 0, [][]float64{{0}}, [][]float64{{0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Collect(0, 200*time.Millisecond); err == nil {
+	if _, err := collectPerf(h, 0, 200*time.Millisecond); err == nil {
 		t.Error("collect should time out when the agent never reports")
 	}
 }
@@ -148,7 +212,7 @@ func TestAgentDisconnectMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the hub notice
-	err = h.Broadcast(0, [][]float64{{0, 0}}, [][]float64{{0, 0}})
+	err = broadcastAll(h, 0, [][]float64{{0, 0}}, [][]float64{{0, 0}})
 	if err == nil {
 		t.Error("broadcast should fail when an RA is gone")
 	}
@@ -176,7 +240,7 @@ func TestBroadcastSurvivesStalledAgent(t *testing.T) {
 	go func() {
 		n := 0
 		for {
-			if _, _, _, err := c0.RecvCoordination(time.Second); err != nil {
+			if _, _, _, err := recvCoordination(c0, time.Second); err != nil {
 				received <- n
 				return
 			}
@@ -206,7 +270,7 @@ func TestBroadcastSurvivesStalledAgent(t *testing.T) {
 	var broadcasts int
 	var bErr error
 	for i := 0; i < 1000 && bErr == nil; i++ {
-		bErr = h.Broadcast(i, z, y)
+		bErr = broadcastAll(h, i, z, y)
 		broadcasts++
 	}
 	if bErr == nil {
@@ -215,15 +279,15 @@ func TestBroadcastSurvivesStalledAgent(t *testing.T) {
 
 	// The offender was dropped: the next round fails fast instead of
 	// stalling again.
-	if err := h.Broadcast(broadcasts, z, y); err == nil {
+	if err := broadcastAll(h, broadcasts, z, y); err == nil {
 		t.Error("broadcast should fail once the stalled RA was dropped")
 	}
 
 	// The healthy RA received its coordination in every round, including
-	// the one where RA 1 timed out.
+	// the one where RA 1 timed out and the one after RA 1 was dropped.
 	n := <-received
-	if n != broadcasts {
-		t.Errorf("healthy RA received %d/%d coordination messages", n, broadcasts)
+	if n != broadcasts+1 {
+		t.Errorf("healthy RA received %d/%d coordination messages", n, broadcasts+1)
 	}
 }
 
@@ -251,7 +315,7 @@ func TestReconnectAfterWaitRegistered(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(testTimeout)
 		for {
-			if err := h.Broadcast(period, grid, grid); err == nil {
+			if err := broadcastAll(h, period, grid, grid); err == nil {
 				return
 			} else if time.Now().After(deadline) {
 				t.Fatalf("agent never became usable: %v", err)
@@ -262,7 +326,7 @@ func TestReconnectAfterWaitRegistered(t *testing.T) {
 	waitDisconnected := func() {
 		t.Helper()
 		deadline := time.Now().Add(testTimeout)
-		for h.Broadcast(-1, grid, grid) == nil {
+		for broadcastAll(h, -1, grid, grid) == nil {
 			if time.Now().After(deadline) {
 				t.Fatal("hub never noticed the disconnect")
 			}
@@ -291,16 +355,16 @@ func TestReconnectAfterWaitRegistered(t *testing.T) {
 	waitConnected(2)
 	period := -1
 	for period != 2 { // skip frames from earlier rounds
-		p, _, _, err := c2.RecvCoordination(testTimeout)
+		p, _, _, err := recvCoordination(c2, testTimeout)
 		if err != nil {
 			t.Fatalf("reconnected agent got no coordination: %v", err)
 		}
 		period = p
 	}
-	if err := c2.ReportPerf(period, []float64{-1}, nil); err != nil {
+	if err := c2.Report(period, []float64{-1}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(period, testTimeout)
+	perf, err := collectPerf(h, period, testTimeout)
 	if err != nil {
 		t.Fatalf("reconnected agent's report was never pumped: %v", err)
 	}
@@ -354,10 +418,10 @@ func TestDistributedOrchestration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < periods; p++ {
-		if err := h.Broadcast(p, coord.Z(), coord.Y()); err != nil {
+		if err := broadcastAll(h, p, coord.Z(), coord.Y()); err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
-		perf, err := h.Collect(p, testTimeout)
+		perf, err := collectPerf(h, p, testTimeout)
 		if err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
@@ -372,7 +436,7 @@ func TestDistributedOrchestration(t *testing.T) {
 	wg.Wait()
 	close(agentErrs)
 	for err := range agentErrs {
-		if err != nil && !errors.Is(err, ErrShutdown) {
+		if err != nil {
 			t.Errorf("agent error: %v", err)
 		}
 	}
@@ -427,7 +491,7 @@ func TestReportCarriesIntervalRecords(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer c.Close()
-		if err := RunAgent(c, env, taroPolicy(env), testTimeout); err != nil && !errors.Is(err, ErrShutdown) {
+		if err := RunAgent(c, env, taroPolicy(env), testTimeout); err != nil {
 			t.Errorf("agent: %v", err)
 		}
 	}()
@@ -436,10 +500,10 @@ func TestReportCarriesIntervalRecords(t *testing.T) {
 	}
 	z := [][]float64{{-50}, {-50}}
 	y := [][]float64{{0}, {0}}
-	if err := h.Broadcast(0, z, y); err != nil {
+	if err := broadcastAll(h, 0, z, y); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := h.CollectReports(0, testTimeout)
+	reports, err := collectReports(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

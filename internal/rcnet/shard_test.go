@@ -1,6 +1,7 @@
 package rcnet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -8,78 +9,89 @@ import (
 	"time"
 )
 
-// TestShardPartition pins the contiguous balanced RA split: every RA maps
-// to exactly one shard, ranges tile [0, J) in order, and sizes differ by at
-// most one.
+// TestShardPartition pins register-range validation on the one conn
+// table: a register frame naming RA -1 or RA J is refused (the hub closes
+// the conn), and every RA in [0, J) registers into its own slot.
 func TestShardPartition(t *testing.T) {
-	for _, tc := range []struct{ ras, shards, want int }{
-		{1, 1, 1}, {7, 1, 1}, {7, 2, 2}, {7, 3, 3}, {8, 4, 4},
-		{1024, 4, 4}, {1000, 7, 7},
-		{3, 8, 3}, // clamped to the RA count
-	} {
-		h, err := NewShardedHub("127.0.0.1:0", 2, tc.ras, tc.shards)
+	const ras = 7
+	h, err := NewHub("127.0.0.1:0", 2, ras)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = h.Shutdown() }()
+
+	for _, bad := range []int{-1, ras} {
+		conn, err := net.Dial("tcp", h.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.NumShards(); got != tc.want {
-			t.Errorf("ras=%d shards=%d: NumShards = %d, want %d", tc.ras, tc.shards, got, tc.want)
-		}
-		prev := -1
-		for s, sh := range h.shards {
-			if sh.lo != h.shardLo(s) || sh.hi != h.shardLo(s+1) {
-				t.Errorf("ras=%d shards=%d: shard %d spans [%d,%d), want [%d,%d)",
-					tc.ras, tc.shards, s, sh.lo, sh.hi, h.shardLo(s), h.shardLo(s+1))
-			}
-			if sh.lo != prev+1 && sh.lo != 0 {
-				t.Errorf("ras=%d shards=%d: shard %d not contiguous", tc.ras, tc.shards, s)
-			}
-			if size := sh.hi - sh.lo; size < tc.ras/tc.want || size > tc.ras/tc.want+1 {
-				t.Errorf("ras=%d shards=%d: shard %d has %d RAs, want balanced", tc.ras, tc.shards, s, size)
-			}
-			prev = sh.hi - 1
-		}
-		if h.shards[len(h.shards)-1].hi != tc.ras {
-			t.Errorf("ras=%d shards=%d: last shard ends at %d", tc.ras, tc.shards, h.shards[len(h.shards)-1].hi)
-		}
-		for ra := 0; ra < tc.ras; ra++ {
-			sh := h.shardFor(ra)
-			if ra < sh.lo || ra >= sh.hi {
-				t.Errorf("ras=%d shards=%d: RA %d routed to shard [%d,%d)", tc.ras, tc.shards, ra, sh.lo, sh.hi)
-			}
-		}
-		if _, err := NewShardedHub("127.0.0.1:0", 2, 4, 0); err == nil {
-			t.Error("zero shards should fail")
-		}
-		if err := h.Shutdown(); err != nil {
+		if err := writeMsg(conn, Envelope{Type: MsgRegister, RA: bad}); err != nil {
 			t.Fatal(err)
 		}
+		_ = conn.SetReadDeadline(time.Now().Add(testTimeout))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			t.Errorf("register as RA %d: conn not closed by the hub (read err %v)", bad, err)
+		}
+		_ = conn.Close()
+	}
+
+	clients := make([]*AgentClient, ras)
+	for ra := range clients {
+		c, err := DialAgent(h.Addr(), ra, testTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[ra] = c
+	}
+	if err := h.WaitRegistered(testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for ra, c := range clients {
+		st := h.conns[ra]
+		if st == nil || st.conn.RemoteAddr().String() != c.conn.LocalAddr().String() {
+			t.Errorf("RA %d's slot does not hold RA %d's connection", ra, ra)
+		}
+	}
+	if s := h.Stats(); s.Registrations != ras {
+		t.Errorf("registrations = %d, want %d (refused frames must not count)", s.Registrations, ras)
 	}
 }
 
-// echoAgents starts one lightweight agent goroutine per RA that answers
-// every coordination frame with perf[i] = 2*z[i] - y[i] + ra, so the
-// collected grid proves each RA received exactly its own coordination
-// column. Codecs alternate per RA, exercising a mixed JSON/binary fleet.
-func echoAgents(t *testing.T, h *Hub, ras, periods int) (*sync.WaitGroup, []error) {
+// isTimeout reports whether err is a network timeout.
+func isTimeout(err error) bool {
+	var nerr net.Error
+	return errors.As(err, &nerr) && nerr.Timeout()
+}
+
+// echoAgents dials one lightweight agent per RA, in RA order rotated to
+// start at RA first, and answers every coordination frame with
+// perf[i] = 2*z[i] - y[i] + ra, so the collected grid proves each RA
+// received exactly its own coordination column. Codecs alternate per RA,
+// exercising a mixed JSON/binary fleet.
+func echoAgents(t *testing.T, h *Hub, ras, periods, first int) (*sync.WaitGroup, []error) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, ras)
-	for ra := 0; ra < ras; ra++ {
+	for k := 0; k < ras; k++ {
+		ra := (first + k) % ras
+		codec := CodecJSON
+		if ra%2 == 1 {
+			codec = CodecBinary
+		}
+		c, err := DialAgentCodec(h.Addr(), ra, testTimeout, codec)
+		if err != nil {
+			errs[ra] = err
+			continue
+		}
 		wg.Add(1)
 		go func(ra int) {
 			defer wg.Done()
-			codec := CodecJSON
-			if ra%2 == 1 {
-				codec = CodecBinary
-			}
-			c, err := DialAgentCodec(h.Addr(), ra, testTimeout, codec)
-			if err != nil {
-				errs[ra] = err
-				return
-			}
 			defer c.Close()
 			for p := 0; p < periods; p++ {
-				period, z, y, err := c.RecvCoordination(30 * time.Second)
+				period, z, y, err := recvCoordination(c, 30*time.Second)
 				if err != nil {
 					errs[ra] = err
 					return
@@ -98,13 +110,14 @@ func echoAgents(t *testing.T, h *Hub, ras, periods int) (*sync.WaitGroup, []erro
 	return &wg, errs
 }
 
-// runEchoRounds drives the hub through the periods against echoAgents and
-// verifies every collected perf value against the expected echo, proving
-// per-shard routing delivered the right column to the right RA and the
-// collect merge placed every report at its RA's index.
-func runEchoRounds(t *testing.T, h *Hub, slices, ras, periods int) {
+// runEchoRounds drives the hub through the periods against echoAgents
+// (dialed starting at RA first) and verifies every collected perf value
+// against the expected echo, proving the conn table delivered the right
+// column to the right RA and collect placed every report at its RA's
+// index.
+func runEchoRounds(t *testing.T, h *Hub, slices, ras, periods, first int) {
 	t.Helper()
-	wg, errs := echoAgents(t, h, ras, periods)
+	wg, errs := echoAgents(t, h, ras, periods, first)
 	if err := h.WaitRegistered(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +132,10 @@ func runEchoRounds(t *testing.T, h *Hub, slices, ras, periods int) {
 				y[i][ra] = float64(i)*0.125 - float64(ra)*0.5 + float64(p)
 			}
 		}
-		if err := h.Broadcast(p, z, y); err != nil {
+		if err := broadcastAll(h, p, z, y); err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
-		perf, err := h.Collect(p, 30*time.Second)
+		perf, err := collectPerf(h, p, 30*time.Second)
 		if err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
@@ -145,43 +158,45 @@ func runEchoRounds(t *testing.T, h *Hub, slices, ras, periods int) {
 	}
 }
 
-// TestShardedBroadcastCollectRouting proves the accept-demux wiring at 64
-// RAs for shard counts 1, 2, 4, and 5 (uneven split): every RA receives
-// exactly its own coordination column and every report lands at its RA's
-// index, with a mixed JSON/binary fleet.
+// TestShardedBroadcastCollectRouting proves the register/broadcast/
+// collect wiring at 64 RAs with a mixed JSON/binary fleet: every RA
+// receives exactly its own coordination column and every report lands at
+// its RA's index. The subtest names predate the one-table hub; subtest N
+// now dials the agents in RA order rotated to start at RA N mod J, so each
+// subtest registers the fleet in a different arrival order.
 func TestShardedBroadcastCollectRouting(t *testing.T) {
 	const ras, slices, periods = 64, 2, 3
 	for _, shards := range []int{1, 2, 4, 5} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h, err := NewShardedHub("127.0.0.1:0", slices, ras, shards)
+			h, err := NewHub("127.0.0.1:0", slices, ras)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runEchoRounds(t, h, slices, ras, periods)
+			runEchoRounds(t, h, slices, ras, periods, shards%ras)
 		})
 	}
 }
 
 // TestShardedRoutingAt1024RAs is the remote-scaling smoke: 1024 concurrent
-// agent connections against a 4-shard hub, every column routed correctly.
+// agent connections against one hub, every column routed correctly.
 func TestShardedRoutingAt1024RAs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-connection scaling test skipped in -short mode")
 	}
 	const ras, slices, periods = 1024, 2, 2
-	h, err := NewShardedHub("127.0.0.1:0", slices, ras, 4)
+	h, err := NewHub("127.0.0.1:0", slices, ras)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runEchoRounds(t, h, slices, ras, periods)
+	runEchoRounds(t, h, slices, ras, periods, 0)
 }
 
 // TestMixedCodecPeers pins the register-time negotiation: a JSON agent and
 // a binary agent serve the same run, the hub answers each in its own codec,
 // and both the hub's and the clients' wire stats record the split.
 func TestMixedCodecPeers(t *testing.T) {
-	h, err := NewShardedHub("127.0.0.1:0", 1, 2, 2)
+	h, err := NewHub("127.0.0.1:0", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +222,7 @@ func TestMixedCodecPeers(t *testing.T) {
 		wg.Add(1)
 		go func(idx int, c *AgentClient) {
 			defer wg.Done()
-			period, z, _, err := c.RecvCoordination(testTimeout)
+			period, z, _, err := recvCoordination(c, testTimeout)
 			if err != nil {
 				agentErrs[idx] = err
 				return
@@ -217,10 +232,10 @@ func TestMixedCodecPeers(t *testing.T) {
 	}
 	z := [][]float64{{0.5, -2.25}}
 	y := [][]float64{{0, 0}}
-	if err := h.Broadcast(0, z, y); err != nil {
+	if err := broadcastAll(h, 0, z, y); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	perf, err := collectPerf(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +278,13 @@ func TestMixedCodecPeers(t *testing.T) {
 	}
 }
 
-// TestDuplicateAndWrongShardReports pins the report-routing hygiene of the
-// sharded hub: a report naming an RA outside its connection's shard is
-// dropped at the shard reader (never reaching another shard's collect
-// buffers), and a duplicate report for an already-collected period is
-// discarded by the next collect.
+// TestDuplicateAndWrongShardReports pins the report hygiene of the hub: a
+// report naming an RA other than the one its connection registered as is
+// dropped at the reader (never reaching that RA's collect slot), and a
+// duplicate report for an already-collected period is discarded by the
+// next collect.
 func TestDuplicateAndWrongShardReports(t *testing.T) {
-	// Two RAs over two shards: shard 0 owns RA 0, shard 1 owns RA 1.
-	h, err := NewShardedHub("127.0.0.1:0", 1, 2, 2)
+	h, err := NewHub("127.0.0.1:0", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +308,9 @@ func TestDuplicateAndWrongShardReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Period 0, in order on RA 0's conn: a report claiming shard 1's RA
-	// (wrong shard — must not overwrite RA 1's slot), the real report, and
-	// a duplicate of the real report.
+	// Period 0, in order on RA 0's conn: a report claiming RA 1 (foreign —
+	// must not fill RA 1's slot), the real report, and a duplicate of the
+	// real report.
 	for _, e := range []Envelope{
 		{Type: MsgPerfReport, RA: 1, Period: 0, Perf: []float64{-999}},
 		{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-10}},
@@ -306,10 +320,14 @@ func TestDuplicateAndWrongShardReports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c1.ReportPerf(0, []float64{-20}, nil); err != nil {
+	// RA 1's honest report goes out only after the hub read all three, so
+	// a forged report that got past the reader would fill RA 1's slot
+	// first.
+	waitFor(t, "the forged frames to be read", func() bool { return h.Stats().ReportsReceived >= 3 })
+	if err := c1.Report(0, []float64{-20}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	perf, err := collectPerf(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +340,10 @@ func TestDuplicateAndWrongShardReports(t *testing.T) {
 	if err := writeMsg(rogue, Envelope{Type: MsgPerfReport, RA: 0, Period: 1, Perf: []float64{-11}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.ReportPerf(1, []float64{-21}, nil); err != nil {
+	if err := c1.Report(1, []float64{-21}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	perf, err = h.Collect(1, testTimeout)
+	perf, err = collectPerf(h, 1, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +352,10 @@ func TestDuplicateAndWrongShardReports(t *testing.T) {
 	}
 
 	stats := h.Stats()
-	if stats.WrongShard != 1 {
-		t.Errorf("WrongShard = %d, want 1", stats.WrongShard)
+	if stats.ForeignRA != 1 {
+		t.Errorf("ForeignRA = %d, want 1", stats.ForeignRA)
 	}
-	if stats.ReportsDropped != 2 { // wrong-shard + stale duplicate
+	if stats.ReportsDropped != 2 { // foreign RA + stale duplicate
 		t.Errorf("ReportsDropped = %d, want 2", stats.ReportsDropped)
 	}
 }
